@@ -10,9 +10,19 @@ positions (prompt rows included).
 Gradient reaches only the prompt argument: every weight enters the
 graph as a frozen leaf, so the tape never spends work on weight
 gradients.  The batch path keeps activations as one (B*T, d) matrix for
-the linear layers and reshapes to per-head stacks only inside
-attention, which keeps the step at a few dozen large operations instead
-of thousands of per-example ones.
+the linear layers, which keeps the step at a few dozen large operations
+instead of thousands of per-example ones.
+
+Each layer is two fused engine ops between its projections:
+``engine.attention`` reads the heads straight from the (B*T, d) Q/K/V
+projections and hides pad keys by per-example key length, and
+``engine.gelu_mlp`` is the whole feed-forward block.  Both do their
+elementwise work in cache-sized blocks of whole examples or rows, set by
+the fixed ``engine.BLOCK_BYTES``; attention recomputes each block's
+probabilities in the backward instead of keeping a (B*H, T, T) tensor.
+A block runs the same per-row arithmetic as a whole-batch pass, so
+logits and gradients do not depend on the block size.  Weights are
+checked finite once, when a ``FrozenBackbone`` is made.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ __all__ = [
 ]
 
 INIT_SCALE = 0.02
-MASK_VALUE = -1e30
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,12 @@ class BackboneConfig:
 class FrozenBackbone:
     config: BackboneConfig
     weights: dict[str, np.ndarray]  # never mutated after build
+
+    def __post_init__(self):
+        # checked once here, so each forward can wrap the weights unscanned
+        for name, arr in self.weights.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"backbone weight {name} contains non-finite entries")
 
     @property
     def embedding(self) -> np.ndarray:
@@ -162,20 +177,6 @@ def _pe_stack(b: int, t: int, d: int) -> np.ndarray:
     return stack
 
 
-def _attention_mask(k: int, t: int, lengths: np.ndarray, n_heads: int) -> np.ndarray | None:
-    """Additive (B*H, t, t) mask hiding pad positions as keys, or None
-    when nothing is padded."""
-    m = t - k
-    if np.all(lengths == m):
-        return None
-    b = lengths.shape[0]
-    row = np.zeros((b, t))
-    for i, n in enumerate(lengths):
-        row[i, k + n :] = MASK_VALUE
-    mask = np.broadcast_to(row[:, None, None, :], (b, n_heads, t, t))
-    return np.ascontiguousarray(mask).reshape(b * n_heads, t, t)
-
-
 def forward_batch(bb: FrozenBackbone, prompt, e_stack: np.ndarray, lengths) -> eg.Node:
     """Logits (B, n_classes) for a stack of embedded inputs sharing one
     prompt.  ``prompt`` may be a graph node (training) or an array."""
@@ -195,30 +196,21 @@ def forward_batch(bb: FrozenBackbone, prompt, e_stack: np.ndarray, lengths) -> e
     b = e_stack.shape[0]
     k = p_node.value.shape[0]
     t = k + cfg.m
-    h = cfg.n_heads
-    dh = cfg.d // h
-    wt = {name: eg.constant(arr) for name, arr in bb.weights.items()}
+    # the weights were checked finite when the backbone was built
+    wt = {name: eg.Node(arr) for name, arr in bb.weights.items()}
 
     seq = eg.concat_axis1(eg.tile_stack(p_node, b), eg.constant(e_stack))
-    seq = eg.add(seq, eg.constant(_pe_stack(b, t, cfg.d)))
+    seq = eg.add(seq, eg.Node(_pe_stack(b, t, cfg.d)))
     x = eg.merge_lead(seq)  # (B*t, d) for all linear layers
-
-    mask = _attention_mask(k, t, lengths, h)
-    mask_node = eg.constant(mask) if mask is not None else None
+    key_len = k + lengths  # pad positions are hidden as keys
 
     for i in range(cfg.n_layers):
         ln = eg.layer_norm(x, wt[f"layer{i}.ln1_g"], wt[f"layer{i}.ln1_b"])
-        qh = eg.split_heads(eg.matmul(ln, wt[f"layer{i}.wq"]), b, h)
-        kh = eg.split_heads(eg.matmul(ln, wt[f"layer{i}.wk"]), b, h)
-        vh = eg.split_heads(eg.matmul(ln, wt[f"layer{i}.wv"]), b, h)
-        scores = eg.scale(eg.batch_matmul(qh, eg.batch_transpose(kh)), 1.0 / np.sqrt(dh))
-        if mask_node is not None:
-            scores = eg.add(scores, mask_node)
-        mixed = eg.merge_heads(eg.batch_matmul(eg.softmax(scores), vh), b, h)
+        qkv = [eg.matmul(ln, wt[f"layer{i}.{w}"]) for w in ("wq", "wk", "wv")]
+        mixed = eg.attention(*qkv, cfg.n_heads, key_len)
         x = eg.add(x, eg.matmul(mixed, wt[f"layer{i}.wo"]))
         ln2 = eg.layer_norm(x, wt[f"layer{i}.ln2_g"], wt[f"layer{i}.ln2_b"])
-        ffn = eg.matmul(eg.gelu(eg.matmul(ln2, wt[f"layer{i}.w1"])), wt[f"layer{i}.w2"])
-        x = eg.add(x, ffn)
+        x = eg.add(x, eg.gelu_mlp(ln2, wt[f"layer{i}.w1"], wt[f"layer{i}.w2"]))
 
     x = eg.layer_norm(x, wt["lnf_g"], wt["lnf_b"])
     pooled = eg.batch_matmul(eg.constant(_pool_weights(k, t, lengths)), eg.split_lead(x, b))

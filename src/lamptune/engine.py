@@ -3,11 +3,17 @@
 The engine is define-by-run: every operation records its parents and a
 closure that routes the output adjoint back to them, and :func:`backward`
 replays the tape in reverse topological order.  Values are numpy arrays
-with two axes (a matrix) or three axes (a stack of matrices, used for
-per-head attention).  Shapes are checked exactly on every operation;
+with two axes (a matrix) or three axes (a stack of matrices, one per
+example).  Shapes are checked exactly on every operation;
 nothing broadcasts except multiplication by a python scalar.  Reductions
 use numpy's fixed pairwise summation order, so results are bit-identical
 across runs and independent of thread count.
+
+The fused encoder ops :func:`attention` and :func:`gelu_mlp`, and
+:func:`gelu`, do their elementwise work in blocks of about
+:data:`BLOCK_BYTES`, so temporaries stay in a core's L2 cache.  A block holds whole examples or whole rows
+and runs the same per-element and per-row arithmetic a whole-array pass
+would, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ __all__ = [
     "split_lead",
     "split_heads",
     "merge_heads",
+    "attention",
+    "gelu_mlp",
     "block_row_mean",
     "outer_product_sum",
     "backward",
@@ -53,6 +61,13 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
+
+
+# working-set size of one block of the fused ops: half a typical L2, so
+# a block and its one or two sibling temporaries stay cache-resident
+BLOCK_BYTES = 1 << 18
+# additive score of a masked key: exp underflows to exactly 0
+MASK_VALUE = -1e30
 
 
 class Node:
@@ -273,36 +288,51 @@ def sqrt(a: Node) -> Node:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu_rows(act: np.ndarray, deriv: np.ndarray | None) -> None:
+    """Overwrite the (n, f) ``act`` with its GELU, in blocks of rows; fill
+    ``deriv`` with the elementwise derivative when it is given."""
+    n, f = act.shape
+    step = max(1, BLOCK_BYTES // (f * 8))
+    inner, t = np.empty((min(step, n), f)), np.empty((min(step, n), f))
+    for s in range(0, n, step):
+        x = act[s : s + step]
+        ib, tb = inner[: x.shape[0]], t[: x.shape[0]]
+        # tanh(c (x + 0.044715 x^3)); x0.5 and the scalar products are exact
+        # reorderings, so every block matches a whole-array pass bit for bit
+        np.multiply(x, x, out=ib)
+        np.multiply(ib, x, out=ib)
+        np.multiply(ib, 0.044715, out=ib)
+        np.add(ib, x, out=ib)
+        np.multiply(ib, _GELU_C, out=ib)
+        np.tanh(ib, out=tb)
+        if deriv is not None:
+            # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
+            db = deriv[s : s + step]
+            np.multiply(tb, tb, out=db)
+            np.subtract(1.0, db, out=db)
+            np.multiply(x, x, out=ib)
+            np.multiply(ib, 3 * 0.044715, out=ib)
+            np.add(ib, 1.0, out=ib)
+            np.multiply(db, x, out=db)
+            np.multiply(db, _GELU_C, out=db)
+            np.multiply(db, ib, out=db)
+            np.add(tb, 1.0, out=ib)
+            np.add(ib, db, out=db)
+            np.multiply(db, 0.5, out=db)
+        np.add(tb, 1.0, out=tb)
+        np.multiply(tb, x, out=x)
+        np.multiply(x, 0.5, out=x)
+
+
 def gelu(a: Node) -> Node:
     """GELU in the tanh form: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
-    x = a.value
-    # in-place temp chain; elementwise results match the naive expression
-    # bit for bit (scalar products commute, x0.5 is an exact exponent shift)
-    inner = x * x
-    np.multiply(inner, x, out=inner)
-    np.multiply(inner, 0.044715, out=inner)
-    np.add(inner, x, out=inner)
-    np.multiply(inner, _GELU_C, out=inner)
-    t = np.tanh(inner)
-    out = np.add(t, 1.0, out=inner)
-    np.multiply(out, x, out=out)
-    np.multiply(out, 0.5, out=out)
+    out = np.array(a.value)
+    deriv = np.empty_like(out) if a.requires_grad else None
+    f = out.shape[-1]
+    _gelu_rows(out.reshape(-1, f), None if deriv is None else deriv.reshape(-1, f))
 
     def vjp(g):
-        if a.requires_grad:
-            sech2 = t * t
-            np.subtract(1.0, sech2, out=sech2)
-            poly = x * x
-            np.multiply(poly, 3 * 0.044715, out=poly)
-            np.add(poly, 1.0, out=poly)
-            np.multiply(sech2, x, out=sech2)
-            np.multiply(sech2, _GELU_C, out=sech2)
-            np.multiply(sech2, poly, out=sech2)
-            half = np.add(t, 1.0, out=poly)
-            np.add(half, sech2, out=half)
-            np.multiply(half, 0.5, out=half)
-            np.multiply(half, g, out=half)
-            _accum(a, half, own=True)
+        _accum(a, np.multiply(g, deriv), own=True)
 
     return _op(out, (a,), vjp)
 
@@ -544,6 +574,124 @@ def merge_heads(a: Node, b: int, h: int) -> Node:
 
     out = np.ascontiguousarray(a.value.reshape(b, h, t, dh).transpose(0, 2, 1, 3)).reshape(b * t, h * dh)
     return _op(out, (a,), vjp)
+
+
+def attention(q: Node, k: Node, v: Node, n_heads: int, key_len) -> Node:
+    """Multi-head scaled dot-product attention with per-example key masks.
+
+    ``q``, ``k`` and ``v`` are (B*T, d) projections, example by example;
+    head j reads columns j*d/H .. (j+1)*d/H.  ``key_len`` holds one count
+    per example: its queries see only its first ``key_len[i]`` keys.  The
+    result is the (B*T, d) head-concatenated softmax(q kᵀ/√(d/H)) v.
+
+    Blocks hold whole examples.  No probability tensor outlives a block:
+    the backward recomputes each block's probabilities from q and k.
+    """
+    for other in (k, v):
+        _same_shape(q, other, "attention")
+    if q.value.ndim != 2:
+        raise ShapeError(f"attention expects (B*T, d) matrices, got shape {q.value.shape}")
+    key_len = np.asarray(key_len, dtype=np.int64).reshape(-1)
+    b = key_len.shape[0]
+    n, d = q.value.shape
+    if b < 1 or n % b != 0 or n_heads < 1 or d % n_heads != 0:
+        raise ShapeError(f"attention: shape {q.value.shape} not divisible by B={b}, H={n_heads}")
+    t, h = n // b, n_heads
+    dh = d // h
+    if np.any(key_len < 1) or np.any(key_len > t):
+        raise ValueError(f"attention: key lengths must lie in [1, {t}]")
+    c = 1.0 / np.sqrt(dh)
+    mask = None
+    if np.any(key_len < t):  # (B, 1, 1, T) additive rows, broadcast over heads and queries
+        mask = np.where(np.arange(t) >= key_len[:, None], MASK_VALUE, 0.0)[:, None, None, :]
+
+    def heads(a: np.ndarray) -> np.ndarray:
+        return a.reshape(b, t, h, dh).transpose(0, 2, 1, 3)  # (B, H, T, dh) view
+
+    qh, kh, vh = heads(q.value), heads(k.value), heads(v.value)
+    step = max(1, BLOCK_BYTES // (h * t * t * 8))
+    blocks = [slice(s, min(s + step, b)) for s in range(0, b, step)]
+    buf_shape = (min(step, b), h, t, t)
+
+    def probs(sl: slice, p: np.ndarray) -> np.ndarray:
+        p = p[: sl.stop - sl.start]
+        np.matmul(qh[sl], kh[sl].transpose(0, 1, 3, 2), out=p)
+        np.multiply(p, c, out=p)
+        if mask is not None:
+            np.add(p, mask[sl], out=p)
+        np.subtract(p, p.max(axis=-1, keepdims=True), out=p)
+        np.exp(p, out=p)
+        np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+        return p
+
+    out = np.empty((n, d))
+    p_buf = np.empty(buf_shape)
+    for sl in blocks:
+        np.matmul(probs(sl, p_buf), vh[sl], out=heads(out)[sl])
+
+    def vjp(g):
+        gh = heads(g)
+        dq, dk, dv = (np.empty((n, d)) if x.requires_grad else None for x in (q, k, v))
+        p_buf, dp_buf, s_buf = np.empty(buf_shape), np.empty(buf_shape), np.empty(buf_shape)
+        for sl in blocks:
+            p = probs(sl, p_buf)
+            if dv is not None:
+                np.matmul(p.transpose(0, 1, 3, 2), gh[sl], out=heads(dv)[sl])
+            if dq is None and dk is None:
+                continue
+            # softmax backward: ds = p * (dp - rowsum(dp * p)), then the 1/√dh scale
+            dp = dp_buf[: p.shape[0]]
+            np.matmul(gh[sl], vh[sl].transpose(0, 1, 3, 2), out=dp)
+            s = np.multiply(dp, p, out=s_buf[: p.shape[0]])
+            np.subtract(dp, s.sum(axis=-1, keepdims=True), out=dp)
+            np.multiply(dp, p, out=dp)
+            np.multiply(dp, c, out=dp)
+            if dq is not None:
+                np.matmul(dp, kh[sl], out=heads(dq)[sl])
+            if dk is not None:
+                np.matmul(dp.transpose(0, 1, 3, 2), qh[sl], out=heads(dk)[sl])
+        for x, gx in ((q, dq), (k, dk), (v, dv)):
+            if gx is not None:
+                _accum(x, gx, own=True)
+
+    return _op(out, (q, k, v), vjp)
+
+
+def gelu_mlp(x: Node, w1: Node, w2: Node) -> Node:
+    """Feed-forward block gelu(x w1) w2, with :func:`gelu`'s tanh form.
+
+    Both products run full-size; the GELU between them runs in blocks of
+    rows.  The forward keeps the GELU derivative when ``x`` or ``w1``
+    needs gradient and the activations when ``w2`` does, so the backward
+    recomputes nothing.
+    """
+    if x.value.ndim != 2 or w1.value.ndim != 2 or w2.value.ndim != 2:
+        raise ShapeError(
+            f"gelu_mlp expects matrices, got {x.value.shape}, {w1.value.shape} and {w2.value.shape}"
+        )
+    if x.value.shape[1] != w1.value.shape[0] or w1.value.shape[1] != w2.value.shape[0]:
+        raise ShapeError(
+            f"gelu_mlp: shapes {x.value.shape}, {w1.value.shape} and {w2.value.shape} disagree"
+        )
+    act = x.value @ w1.value
+    deriv = np.empty_like(act) if x.requires_grad or w1.requires_grad else None
+    _gelu_rows(act, deriv)
+    out = act @ w2.value
+    if not w2.requires_grad:
+        act = None
+
+    def vjp(g):
+        if w2.requires_grad:
+            _accum(w2, act.T @ g, own=True)
+        if deriv is not None:
+            gh = g @ w2.value.T
+            np.multiply(gh, deriv, out=gh)
+            if x.requires_grad:
+                _accum(x, gh @ w1.value.T, own=True)
+            if w1.requires_grad:
+                _accum(w1, x.value.T @ gh, own=True)
+
+    return _op(out, (x, w1, w2), vjp)
 
 
 def block_row_mean(a: Node, p: int) -> Node:

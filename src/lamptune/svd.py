@@ -47,13 +47,18 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _one_sided_jacobi(b: np.ndarray) -> np.ndarray:
+def _one_sided_jacobi(b: np.ndarray) -> tuple[np.ndarray, int]:
     """Rotate column pairs of ``b`` in place until all are mutually
-    orthogonal; returns the accumulated right-rotation product."""
+    orthogonal; returns the accumulated right-rotation product and the
+    number of sweeps run."""
     n = b.shape[1]
     v = np.eye(n)
     rounds = _round_robin_rounds(n)
-    for _ in range(SWEEP_CAP):
+    # a column with squared norm at most (eps |b|_F)^2 is round-off left
+    # in a null direction; it would never pass the relative test, so a
+    # pair holding one is not rotated and rank-deficient input converges
+    floor = (np.finfo(np.float64).eps ** 2) * np.einsum("ij,ij->", b, b)
+    for sweeps in range(1, SWEEP_CAP + 1):
         rotated = False
         for ps, qs in rounds:
             if ps.size == 0:
@@ -63,7 +68,7 @@ def _one_sided_jacobi(b: np.ndarray) -> np.ndarray:
             alpha = np.einsum("ij,ij->j", bp, bp)
             beta = np.einsum("ij,ij->j", bq, bq)
             gamma = np.einsum("ij,ij->j", bp, bq)
-            need = np.abs(gamma) > ORTH_TOL * np.sqrt(alpha * beta)
+            need = (np.abs(gamma) > ORTH_TOL * np.sqrt(alpha * beta)) & (np.minimum(alpha, beta) > floor)
             if not np.any(need):
                 continue
             idx = np.nonzero(need)[0]
@@ -98,7 +103,7 @@ def _one_sided_jacobi(b: np.ndarray) -> np.ndarray:
             v[:, qi] = s * vp + c * vq
         if not rotated:
             break
-    return v
+    return v, sweeps
 
 
 def _fill_null_columns(u: np.ndarray, start: int) -> None:
@@ -119,7 +124,7 @@ def _fill_null_columns(u: np.ndarray, start: int) -> None:
 def _svd_tall(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows, cols = a.shape
     b = a.copy()
-    vacc = _one_sided_jacobi(b)
+    vacc, _ = _one_sided_jacobi(b)
     norms = np.sqrt(np.einsum("ij,ij->j", b, b))
     order = np.argsort(-norms, kind="stable")
     s = norms[order]

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lamptune import engine as eg
 from lamptune.backbone import (
     BackboneConfig,
+    FrozenBackbone,
     build_backbone,
     digest,
     encode_input,
@@ -124,15 +127,18 @@ def test_identical_prompt_rows_commute():
     np.testing.assert_array_equal(forward(bb, swapped, e).value, base)
 
 
-def test_batch_matches_per_example_forward():
-    bb = build_backbone(tiny_config(d=8, n_heads=2, n_layers=2, m=3, vocab_size=20))
-    prompt = RNG.standard_normal((2, 8))
-    seqs = [[1, 2, 3], [4], []]
-    stack = np.stack([encode_input(bb, s) for s in seqs])
+BATCH_BB = build_backbone(tiny_config(d=8, n_heads=2, n_layers=2, m=3, vocab_size=20))
+BATCH_PROMPT = RNG.standard_normal((2, 8))
+
+
+@given(st.lists(st.lists(st.integers(0, 19), max_size=3), min_size=1, max_size=6))
+@example([[1, 2, 3], [4], []])
+def test_batch_matches_per_example_forward(seqs):
+    stack = np.stack([encode_input(BATCH_BB, s) for s in seqs])
     lengths = np.array([len(s) for s in seqs])
-    got = forward_batch(bb, prompt, stack, lengths).value
+    got = forward_batch(BATCH_BB, BATCH_PROMPT, stack, lengths).value
     for i, s in enumerate(seqs):
-        want = forward(bb, prompt, encode_input(bb, s)).value.ravel()
+        want = forward(BATCH_BB, BATCH_PROMPT, encode_input(BATCH_BB, s)).value.ravel()
         np.testing.assert_allclose(got[i], want, atol=1e-12)
 
 
@@ -158,9 +164,16 @@ def test_digest_tracks_weights_and_seed():
     # digests must respond to any weight change
     mutated = {k: v.copy() for k, v in bb1.weights.items()}
     mutated["head"][0, 0] += 1e-9
-    from lamptune.backbone import FrozenBackbone
-
     assert digest(FrozenBackbone(bb1.config, mutated)) != digest(bb1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_rejected_at_construction(bad):
+    bb = build_backbone(tiny_config())
+    weights = {k: v.copy() for k, v in bb.weights.items()}
+    weights["layer0.w1"][1, 2] = bad
+    with pytest.raises(ValueError, match="layer0.w1"):
+        FrozenBackbone(bb.config, weights)
 
 
 def test_digest_constant_across_training_like_use():

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lamptune
 from lamptune.cli import main
 from lamptune.config import ConfigError, load_config
 from lamptune.prompt import load_checkpoint, synthetic_vocab
@@ -126,6 +130,34 @@ def test_cmd_train_vanilla_pt_checkpoint_reconstructs_matrix(tmp_path):
     cost = json.loads((tmp_path / "out" / "cost.json").read_text())
     assert cost["trainable_params"] == 8 * 16
     assert cost["method"] == "vanilla-pt"
+
+
+def test_cmd_train_artifacts_independent_of_blas_threads(tmp_path):
+    # desk-shaped: 100 prompt rows over 16 input rows, so the GEMMs are
+    # large enough for OpenBLAS to split them across threads
+    src = str(Path(lamptune.__file__).resolve().parents[1])
+    blobs = []
+    for threads in ("1", "2"):
+        path = tmp_path / threads / "c.json"
+        path.parent.mkdir()
+        write_config(
+            path,
+            backbone={"vocab_size": 16, "d": 64, "n_layers": 2, "n_heads": 2, "ffn_width": 256,
+                      "m": 16, "n_classes": 2, "seed": 0},
+            **{"prompt.l": 100, "prompt.r": 8, "prompt.top_k": 16,
+               "train.batch_size": 32, "train.epochs": 1, "train.learning_rate": 0.3,
+               "task.vocab_size": 16, "task.seq_len": 16, "task.n_train": 64, "task.n_heldout": 32},
+        )
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        # --deterministic only sets the thread count where it is unset
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamptune.cli", "--deterministic", "--config", str(path), "train"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = path.parent / "out"
+        blobs.append(((out / "metrics.ndjson").read_bytes(), (out / "prompt.lamp").read_bytes()))
+    assert blobs[0] == blobs[1]
 
 
 # ---------------------------------------------------------------- count-params

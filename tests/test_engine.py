@@ -1,12 +1,17 @@
 """Engine ops against naive forward oracles and finite-difference gradients."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lamptune import engine as eg
 
 from oracles import (
     central_diff_grad,
+    manual_attention,
     manual_cross_entropy,
     manual_gelu,
     manual_layer_norm,
@@ -197,6 +202,83 @@ def test_split_heads_layout_matches_per_head_slices():
         for hi in range(h):
             rows = x[bi * t : (bi + 1) * t, hi * dh : (hi + 1) * dh]
             np.testing.assert_allclose(out[bi * h + hi], rows)
+
+
+def test_attention_matches_per_example_oracle_across_blocks():
+    b, t, d, h = 3, 5, 6, 3
+    key_len = np.array([5, 2, 4])  # two examples with hidden pad keys
+    x = RNG.standard_normal((b * t, d))
+    wq, wk, wv = (RNG.standard_normal((d, d)) for _ in range(3))
+    with mock.patch.object(eg, "BLOCK_BYTES", 1):  # one example per block
+        got = eg.attention(*(eg.constant(x @ w) for w in (wq, wk, wv)), h, key_len).value
+    for i in range(b):
+        rows = slice(i * t, (i + 1) * t)
+        mask = np.arange(t) >= key_len[i]
+        want = manual_attention(x[rows], wq, wk, wv, np.eye(d), h, mask=mask if mask.any() else None)
+        np.testing.assert_allclose(got[rows], want, atol=1e-13)
+
+
+def test_attention_grads_every_operand():
+    q, k, v, w = (RNG.standard_normal((15, 6)) for _ in range(4))
+    with mock.patch.object(eg, "BLOCK_BYTES", 1):
+        assert_grad(lambda a, b, c: eg.multiply(eg.attention(a, b, c, 3, [5, 2, 4]), eg.constant(w)),
+                    [q, k, v], tol=1e-7)
+
+
+def test_attention_rejects_bad_shapes_and_key_lengths():
+    a = eg.constant(RNG.standard_normal((6, 4)))
+    with pytest.raises(eg.ShapeError):
+        eg.attention(a, a, eg.constant(RNG.standard_normal((6, 2))), 2, [3, 3])
+    with pytest.raises(eg.ShapeError):
+        eg.attention(a, a, a, 3, [3, 3])  # d=4 not divisible by 3 heads
+    with pytest.raises(eg.ShapeError):
+        eg.attention(a, a, a, 2, [2, 2, 2, 2])  # 6 rows not divisible by B=4
+    for bad in ([0, 3], [3, 4]):
+        with pytest.raises(ValueError):
+            eg.attention(a, a, a, 2, bad)
+
+
+def test_gelu_mlp_matches_manual_and_grads():
+    x = RNG.standard_normal((7, 4))
+    w1 = RNG.standard_normal((4, 6))
+    w2 = RNG.standard_normal((6, 3))
+    with mock.patch.object(eg, "BLOCK_BYTES", 100):  # two rows per block
+        got = eg.gelu_mlp(eg.constant(x), eg.constant(w1), eg.constant(w2)).value
+        np.testing.assert_allclose(got, manual_gelu(x @ w1) @ w2, atol=1e-13)
+        assert_grad(eg.gelu_mlp, [x, w1, w2], tol=1e-7)
+    with pytest.raises(eg.ShapeError):
+        eg.gelu_mlp(eg.constant(x), eg.constant(w2), eg.constant(w1))
+
+
+def fused_values_and_grads(block_bytes, x, ws, key_len, h):
+    """Outputs and input gradients of attention feeding gelu_mlp."""
+    with mock.patch.object(eg, "BLOCK_BYTES", block_bytes):
+        xn = eg.parameter(x)
+        qkv = [eg.matmul(xn, eg.constant(w)) for w in ws[:3]]
+        mixed = eg.attention(*qkv, h, key_len)
+        out = eg.gelu_mlp(mixed, eg.constant(ws[3]), eg.constant(ws[4]))
+        eg.backward(eg.sum_all(eg.multiply(out, eg.constant(ws[5]))))
+    return out.value, xn.grad
+
+
+@given(
+    block_bytes=st.integers(1, 1 << 14),
+    b=st.integers(1, 4),
+    t=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_ops_bit_identical_for_any_block_size(block_bytes, b, t, seed):
+    rng = np.random.default_rng(seed)
+    d, h, f = 4, 2, 8
+    x = rng.standard_normal((b * t, d))
+    ws = [rng.standard_normal(s) for s in ((d, d), (d, d), (d, d), (d, f), (f, d), (b * t, d))]
+    key_len = rng.integers(1, t + 1, size=b)
+    # BLOCK_BYTES of 1 puts every example and row in its own block, 1<<14
+    # puts all of them in one block
+    want = fused_values_and_grads(1 << 14, x, ws, key_len, h)
+    got = fused_values_and_grads(block_bytes, x, ws, key_len, h)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_block_row_mean_forward_and_grad():

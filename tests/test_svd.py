@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lamptune.svd import SvdResult, svd, truncate
+from lamptune.svd import SWEEP_CAP, SvdResult, _one_sided_jacobi, svd, truncate
 
 from oracles import svd_via_gram
 
@@ -61,6 +61,17 @@ def test_rank_deficient_columns_completed():
     a = RNG.standard_normal((12, 3)) @ RNG.standard_normal((3, 8))
     res = svd(a)
     assert np.all(res.s[3:] <= 1e-10 * res.s[0])
+    check_factorization(a, res)
+
+
+def test_rank_deficient_prompt_converges_well_under_sweep_cap():
+    # prompt-shaped: 100 rows drawn from 16 vocabulary rows, so rank 16;
+    # the 48 null columns must not keep the sweeps running to the cap
+    a = RNG.standard_normal((16, 64))[RNG.integers(0, 16, size=100)]
+    _, sweeps = _one_sided_jacobi(a.copy())
+    assert sweeps <= 15 < SWEEP_CAP
+    res = svd(a)
+    assert np.all(res.s[16:] <= 1e-12 * res.s[0])
     check_factorization(a, res)
 
 
