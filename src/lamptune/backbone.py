@@ -7,11 +7,16 @@ the embedded input, sinusoidal position encodings are added to the
 combined sequence, and the classifier reads a mean over all non-pad
 positions (prompt rows included).
 
+``embed`` turns (n, seq) token ids into the zero-padded input stack
+and per-example lengths that ``forward_batch`` takes; it is the one
+place ids are checked against the vocabulary and the length m.  There
+is no single-example path: one example is a stack of one.
+
 Gradient reaches only the prompt argument: every weight enters the
 graph as a frozen leaf, so the tape never spends work on weight
-gradients.  The batch path keeps activations as one (B*T, d) matrix for
-the linear layers, which keeps the step at a few dozen large operations
-instead of thousands of per-example ones.
+gradients.  Activations stay one (B*T, d) matrix for the linear layers,
+which keeps the step at a few dozen large operations instead of
+thousands of per-example ones.
 
 Each layer is two fused engine ops between its projections:
 ``engine.attention`` reads the heads straight from the (B*T, d) Q/K/V
@@ -39,8 +44,7 @@ __all__ = [
     "FrozenBackbone",
     "build_backbone",
     "sinusoidal_pe",
-    "encode_input",
-    "forward",
+    "embed",
     "forward_batch",
     "digest",
 ]
@@ -132,24 +136,25 @@ def sinusoidal_pe(t: int, d: int) -> np.ndarray:
     return INIT_SCALE * pe
 
 
-def encode_input(bb: FrozenBackbone, token_ids) -> np.ndarray:
-    """Embedding-row gather, right-padded with zero rows to length m."""
+def embed(bb: FrozenBackbone, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Input stack for :func:`forward_batch` from (n, seq) token ids.
+
+    Each row is gathered from the embedding table and right-padded with
+    zero rows to length m; every example's length is seq.  Ids outside
+    the vocabulary and sequences longer than m raise ValueError.
+    """
     cfg = bb.config
-    ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-    if ids.size > cfg.m:
-        raise ValueError(f"sequence of {ids.size} tokens exceeds maximum length m={cfg.m}")
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise ValueError(f"token ids must be an (n, seq) array, got shape {ids.shape}")
+    n, seq = ids.shape
+    if seq > cfg.m:
+        raise ValueError(f"sequence of {seq} tokens exceeds maximum length m={cfg.m}")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ValueError(f"token id out of range for vocabulary of {cfg.vocab_size}")
-    e = np.zeros((cfg.m, cfg.d))
-    e[: ids.size] = bb.embedding[ids]
-    return e
-
-
-def _lengths_from_padding(e: np.ndarray) -> int:
-    """Number of leading rows before the trailing all-zero pad block."""
-    nonzero = np.any(e != 0.0, axis=1)
-    idx = np.nonzero(nonzero)[0]
-    return int(idx[-1]) + 1 if idx.size else 0
+    e = np.zeros((n, cfg.m, cfg.d))
+    e[:, :seq, :] = bb.embedding[ids]
+    return e, np.full(n, seq, dtype=np.int64)
 
 
 def _pool_weights(k: int, t: int, lengths: np.ndarray) -> np.ndarray:
@@ -215,13 +220,3 @@ def forward_batch(bb: FrozenBackbone, prompt, e_stack: np.ndarray, lengths) -> e
     x = eg.layer_norm(x, wt["lnf_g"], wt["lnf_b"])
     pooled = eg.batch_matmul(eg.constant(_pool_weights(k, t, lengths)), eg.split_lead(x, b))
     return eg.matmul(eg.merge_lead(pooled), wt["head"])
-
-
-def forward(bb: FrozenBackbone, prompt, e: np.ndarray) -> eg.Node:
-    """Single-example logits (1, n_classes).  Pad rows are recognized as
-    the trailing all-zero block of ``e``."""
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 2 or e.shape != (bb.config.m, bb.config.d):
-        raise eg.ShapeError(f"input {e.shape} must be ({bb.config.m}, {bb.config.d})")
-    n = _lengths_from_padding(e)
-    return forward_batch(bb, prompt, e[None, :, :], np.array([n]))

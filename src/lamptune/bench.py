@@ -3,7 +3,8 @@
 Times one full forward + backward on a fixed batch, repeated; we report
 the median, which is robust to the occasional scheduler hiccup that a
 mean would absorb.  No optimizer update runs, so every iteration does
-identical work.
+identical work.  Pooling is the only axis, so only LAMP is benchmarked:
+vanilla prompt tuning never pools.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import engine as eg
 from . import prompt as pr
-from .backbone import FrozenBackbone
-from .trainer import _embed_batch, _lamp_forward, generate_dataset, loss
+from .backbone import FrozenBackbone, embed, forward_batch
+from .trainer import generate_dataset, init_prompt, loss, prompt_graph
 
 __all__ = ["bench_pool_blocks"]
 
@@ -28,12 +29,10 @@ def bench_pool_blocks(cfg, bb: FrozenBackbone, blocks: list[int], iters: int) ->
     ``cfg`` is an ExperimentConfig; the prompt factors and the batch are
     fixed across blocks so only the pooled row count varies.
     """
-    vocab = pr.make_vocab(bb.embedding)
-    eff_top_k = min(cfg.prompt.top_k, bb.config.vocab_size)
-    sp = pr.init_source_prompt(vocab, l=cfg.prompt.l, top_k=eff_top_k, seed=cfg.seed)
-    dp = pr.decompose(sp, cfg.prompt.r)
+    dp, _, _ = init_prompt("lamp", pr.PoolConfig(), bb, l=cfg.prompt.l, r=cfg.prompt.r,
+                           top_k=cfg.prompt.top_k, seed=cfg.train.seed)
     data = generate_dataset(cfg.task, cfg.train.batch_size)
-    e_stack, lengths = _embed_batch(bb, data.ids)
+    e_stack, lengths = embed(bb, data.ids)
 
     rows = []
     for p in blocks:
@@ -41,8 +40,8 @@ def bench_pool_blocks(cfg, bb: FrozenBackbone, blocks: list[int], iters: int) ->
         pool.validate_for_length(cfg.prompt.l)
 
         def step() -> None:
-            logits, _, _ = _lamp_forward(dp, cfg.prompt.mode, pool, None, bb, e_stack, lengths)
-            eg.backward(loss(logits, data.labels))
+            prompt, _ = prompt_graph(dp, pool, cfg.prompt.mode)
+            eg.backward(loss(forward_batch(bb, prompt, e_stack, lengths), data.labels))
 
         for _ in range(WARMUP_ITERS):
             step()

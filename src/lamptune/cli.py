@@ -134,20 +134,15 @@ def _cmd_gradcheck(args) -> int:
 
     from .backbone import build_backbone
     from .config import load_config
-    from .prompt import decompose, init_self_attn_pool, init_source_prompt, make_vocab
-    from .trainer import generate_dataset, gradcheck
+    from .trainer import generate_dataset, gradcheck, init_prompt
 
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     bb = build_backbone(cfg.backbone)
-    vocab = make_vocab(bb.embedding)
-    eff_top_k = min(cfg.prompt.top_k, cfg.backbone.vocab_size)
-    sp = init_source_prompt(vocab, l=cfg.prompt.l, top_k=eff_top_k, seed=cfg.seed)
-    dp = decompose(sp, cfg.prompt.r)
-    w_sa = None
-    if cfg.prompt.pooling.mode == "self-attention":
-        w_sa = init_self_attn_pool(cfg.backbone.d, cfg.prompt.l, cfg.prompt.pooling.p, seed=cfg.seed)
+    p = cfg.prompt
+    trainable, w_sa, _ = init_prompt(p.method, p.pooling, bb, l=p.l, r=p.r, top_k=p.top_k,
+                                     seed=cfg.train.seed)
     data = generate_dataset(cfg.task, min(cfg.train.batch_size, 8))
-    report = gradcheck(dp, cfg.prompt.pooling, bb, data, cfg.prompt.mode, w_sa=w_sa)
+    report = gradcheck(trainable, p.pooling, bb, data, p.mode, w_sa=w_sa)
     print(json.dumps({k: float(v) for k, v in report.items()}))
     ok = all(np.isfinite(v) and v <= 1e-4 for v in report.values())
     return 0 if ok else 1
@@ -170,6 +165,10 @@ def _cmd_bench(args) -> int:
         print("bench: --pool-blocks must list at least one block size", file=sys.stderr)
         return USAGE_ERROR
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
+    if cfg.prompt.method != "lamp":
+        print(f"bench: prompt.method={cfg.prompt.method} does not pool; the pooling-block "
+              "bench times lamp only", file=sys.stderr)
+        return USAGE_ERROR
     for p in blocks:
         if p < 1 or cfg.prompt.l % p != 0:
             print(f"bench: block p={p} does not divide prompt.l={cfg.prompt.l}", file=sys.stderr)

@@ -13,11 +13,9 @@ from typing import Any
 
 from .backbone import BackboneConfig
 from .prompt import POOL_MODES, RECONSTRUCT_MODES, PoolConfig
-from .trainer import TASK_RULES, SyntheticTask, TrainConfig
+from .trainer import METHODS, TASK_RULES, SyntheticTask, TrainConfig
 
 __all__ = ["ConfigError", "PromptSettings", "ExperimentConfig", "load_config"]
-
-METHODS = ("lamp", "vanilla-pt")
 
 
 class ConfigError(ValueError):

@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# scale, gelu, split_heads and merge_heads have no caller in the package;
+# they stay exported because the benchmark's tracer looks them up by name
 __all__ = [
     "Node",
     "ShapeError",
@@ -29,22 +31,16 @@ __all__ = [
     "parameter",
     "value_of",
     "add",
-    "multiply",
     "scale",
     "matmul",
     "batch_matmul",
     "transpose",
-    "batch_transpose",
     "diag",
     "sqrt",
     "gelu",
     "layer_norm",
     "softmax",
-    "mean_rows",
-    "sum_all",
-    "gather_rows",
     "cross_entropy",
-    "concat_rows",
     "concat_axis1",
     "tile_stack",
     "merge_lead",
@@ -182,19 +178,6 @@ def add(a: Node, b: Node) -> Node:
     return _op(a.value + b.value, (a, b), vjp)
 
 
-def multiply(a: Node, b: Node) -> Node:
-    """Elementwise product of same-shape operands."""
-    _same_shape(a, b, "multiply")
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, g * b.value, own=True)
-        if b.requires_grad:
-            _accum(b, g * a.value, own=True)
-
-    return _op(a.value * b.value, (a, b), vjp)
-
-
 def scale(a: Node, c: float) -> Node:
     c = float(c)
 
@@ -247,18 +230,6 @@ def transpose(a: Node) -> Node:
 
     # BLAS consumes strided views directly; no copy needed
     return _op(a.value.T, (a,), vjp)
-
-
-def batch_transpose(a: Node) -> Node:
-    """Swap the last two axes of a stack."""
-    if a.value.ndim != 3:
-        raise ShapeError(f"batch_transpose expects a stack, got shape {a.value.shape}")
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, g.transpose(0, 2, 1), own=True)
-
-    return _op(a.value.transpose(0, 2, 1), (a,), vjp)
 
 
 def diag(q: Node) -> Node:
@@ -395,48 +366,6 @@ def softmax(a: Node) -> Node:
     return _op(out, (a,), vjp)
 
 
-def mean_rows(a: Node) -> Node:
-    """Mean over rows of a matrix: (n, d) -> (1, d)."""
-    if a.value.ndim != 2:
-        raise ShapeError(f"mean_rows expects a matrix, got shape {a.value.shape}")
-    n = a.value.shape[0]
-
-    def vjp(g):
-        if a.requires_grad:
-            # read-only 0-stride view: _accum materializes it on first touch
-            _accum(a, np.broadcast_to(g / n, a.value.shape))
-
-    return _op(a.value.mean(axis=0, keepdims=True), (a,), vjp)
-
-
-def sum_all(a: Node) -> Node:
-    """Sum of all entries as a 1 x 1 node."""
-
-    def vjp(g):
-        if a.requires_grad:
-            a.grad += g[0, 0]
-
-    return _op(np.array([[a.value.sum()]]), (a,), vjp)
-
-
-def gather_rows(table: Node, ids) -> Node:
-    """Pick rows of a matrix by integer index."""
-    if table.value.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix table, got shape {table.value.shape}")
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"gather_rows ids must be a flat index list, got shape {ids.shape}")
-    n = table.value.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise IndexError(f"gather_rows: id out of range for table with {n} rows")
-
-    def vjp(g):
-        if table.requires_grad:
-            np.add.at(table.grad, ids, g)
-
-    return _op(table.value[ids].copy(), (table,), vjp)
-
-
 def cross_entropy(logits: Node, labels) -> Node:
     """Mean softmax cross-entropy against integer labels.
 
@@ -463,21 +392,6 @@ def cross_entropy(logits: Node, labels) -> Node:
             _accum(logits, p, own=True)
 
     return _op(out, (logits,), vjp)
-
-
-def concat_rows(a: Node, b: Node) -> Node:
-    """Stack two matrices vertically."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(f"concat_rows: incompatible shapes {a.value.shape} and {b.value.shape}")
-    na = a.value.shape[0]
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, g[:na], own=True)  # disjoint slices of a dying adjoint
-        if b.requires_grad:
-            _accum(b, g[na:], own=True)
-
-    return _op(np.concatenate([a.value, b.value], axis=0), (a, b), vjp)
 
 
 def concat_axis1(a: Node, b: Node) -> Node:

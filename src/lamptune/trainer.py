@@ -2,7 +2,12 @@
 
 AdamW with decoupled weight decay updates the factor triple (or, for
 the vanilla baseline, the raw prompt matrix) while the backbone digest
-stays fixed.  Synthetic classification tasks stand in for real
+stays fixed.  Two functions are the only code that tells the methods
+apart: ``init_prompt`` builds a run's starting trainable state and
+``prompt_graph`` turns that state into the prompt node plus its
+parameter groups.  The training step, the per-epoch evaluation,
+``gradcheck`` and the bench all go through them, so each exists once
+for both methods.  Synthetic classification tasks stand in for real
 benchmarks: each labeling rule is a deterministic function of the token
 ids, chosen so that a prompt steering frozen random features can
 actually solve it.  The loop keeps batch shuffling, task generation,
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import engine as eg
 from . import prompt as pr
-from .backbone import FrozenBackbone, digest, forward_batch
+from .backbone import FrozenBackbone, digest, embed, forward_batch
 
 __all__ = [
     "TrainConfig",
@@ -29,10 +34,13 @@ __all__ = [
     "Dataset",
     "TrainResult",
     "TASK_RULES",
+    "METHODS",
     "loss",
     "adamw_update",
     "generate_dataset",
     "few_shot_subsample",
+    "init_prompt",
+    "prompt_graph",
     "train_step",
     "train_loop",
     "gradcheck",
@@ -40,6 +48,7 @@ __all__ = [
 ]
 
 TASK_RULES = ("token-presence", "majority-class", "prefix-parity")
+METHODS = ("lamp", "vanilla-pt")
 PRESENCE_TOKEN = 0  # the id whose presence defines the token-presence label
 
 
@@ -206,25 +215,61 @@ def adamw_update(
         theta -= cfg.learning_rate * cfg.weight_decay * theta
 
 
-def _embed_batch(bb: FrozenBackbone, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, seq = ids.shape
-    e = np.zeros((n, bb.config.m, bb.config.d))
-    e[:, :seq, :] = bb.embedding[ids]
-    return e, np.full(n, seq, dtype=np.int64)
+def init_prompt(
+    method: str, pool: pr.PoolConfig, bb: FrozenBackbone, *, l: int, r: int, top_k: int, seed: int
+) -> tuple[pr.DecomposedPrompt | np.ndarray, pr.SelfAttnPoolParams | None, int]:
+    """The starting trainable state of a run and its parameter count.
+
+    The source prompt is sampled from the backbone's embedding table
+    (``top_k`` clamped to its size).  ``lamp`` factors it into the triple
+    and, under self-attention pooling, adds a fresh ``W_sa``;
+    ``vanilla-pt`` trains a copy of the raw l x d matrix and never pools.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    vocab = pr.make_vocab(bb.embedding)
+    sp = pr.init_source_prompt(vocab, l=l, top_k=min(top_k, bb.config.vocab_size), seed=seed)
+    if method == "vanilla-pt":
+        return sp.tokens.copy(), None, pr.vanilla_pt_param_count(l, bb.config.d)
+    dp = pr.decompose(sp, r)
+    n_params = pr.lamp_param_count(l, bb.config.d, r)
+    w_sa = None
+    if pool.mode == "self-attention":
+        w_sa = pr.init_self_attn_pool(bb.config.d, l, pool.p, seed=seed)
+        n_params += w_sa.w_sa.size
+    return dp, w_sa, n_params
 
 
-def _lamp_forward(dp, mode, pool, w_sa, bb, e_stack, lengths, trainable=True):
-    lv = pr.leaves(dp, trainable=trainable)
+def prompt_graph(
+    trainable: pr.DecomposedPrompt | np.ndarray,
+    pool: pr.PoolConfig,
+    mode: str = "verbatim",
+    w_sa: pr.SelfAttnPoolParams | None = None,
+    grad: bool = True,
+) -> tuple[eg.Node, dict[str, tuple[np.ndarray, eg.Node]]]:
+    """The prompt node fed to the backbone, and each trainable array
+    paired with its graph leaf, by parameter-group name.
+
+    ``trainable`` is the factor triple (LAMP: rebuilt in ``mode``, then
+    pooled, with ``w_sa`` under self-attention pooling) or the raw l x d
+    matrix (vanilla PT: the prompt itself, one group ``prompt``).  With
+    ``grad`` off the leaves are frozen, for evaluation.
+    """
+    wrap = eg.parameter if grad else eg.constant
+    if isinstance(trainable, np.ndarray):
+        leaf = wrap(trainable)
+        return leaf, {"prompt": (trainable, leaf)}
+    lv = pr.leaves(trainable, trainable=grad)
+    groups = {"u": (trainable.u, lv.u), "q": (trainable.q, lv.q), "v": (trainable.v, lv.v)}
     w_node = None
     if pool.mode == "self-attention":
-        w_node = eg.parameter(w_sa.w_sa) if trainable else eg.constant(w_sa.w_sa)
-    pooled = pr.apply_pool(pr.reconstruct(lv, mode), pool, w_node)
-    logits = forward_batch(bb, pooled, e_stack, lengths)
-    return logits, lv, w_node
+        w_node = wrap(w_sa.w_sa)
+        groups["w_sa"] = (w_sa.w_sa, w_node)
+    return pr.apply_pool(pr.reconstruct(lv, mode), pool, w_node), groups
 
 
 def train_step(
-    dp: pr.DecomposedPrompt,
+    trainable: pr.DecomposedPrompt | np.ndarray,
     pool: pr.PoolConfig,
     bb: FrozenBackbone,
     batch: Dataset,
@@ -233,41 +278,31 @@ def train_step(
     mode: str = "verbatim",
     w_sa: pr.SelfAttnPoolParams | None = None,
 ) -> tuple[float, float]:
-    """One forward/backward/update on the factor triple; returns the
-    batch loss and accuracy."""
+    """One forward/backward/update of the trainable state (see
+    :func:`prompt_graph`); returns the batch loss and accuracy."""
     if len(batch) == 0:
         raise ValueError("train_step needs a non-empty batch")
-    e_stack, lengths = _embed_batch(bb, batch.ids)
-    logits, lv, w_node = _lamp_forward(dp, mode, pool, w_sa, bb, e_stack, lengths)
+    e_stack, lengths = embed(bb, batch.ids)
+    prompt, groups = prompt_graph(trainable, pool, mode, w_sa)
+    logits = forward_batch(bb, prompt, e_stack, lengths)
     out = loss(logits, batch.labels)
     eg.backward(out)
-    params = {"u": dp.u, "q": dp.q, "v": dp.v}
-    grads = {"u": lv.u.grad, "q": lv.q.grad.reshape(-1), "v": lv.v.grad}
-    if w_node is not None:
-        params["w_sa"] = w_sa.w_sa
-        grads["w_sa"] = w_node.grad
-    adamw_update(params, grads, state, cfg)
+    adamw_update(
+        {name: theta for name, (theta, _) in groups.items()},
+        {name: leaf.grad.reshape(theta.shape) for name, (theta, leaf) in groups.items()},
+        state,
+        cfg,
+    )
     acc = float(np.mean(np.argmax(logits.value, axis=1) == batch.labels))
     return float(out.value[0, 0]), acc
 
 
-def _pt_train_step(matrix, pool, bb, batch, state, cfg):
-    e_stack, lengths = _embed_batch(bb, batch.ids)
-    p_node = eg.parameter(matrix)
-    logits = forward_batch(bb, p_node, e_stack, lengths)
-    out = loss(logits, batch.labels)
-    eg.backward(out)
-    adamw_update({"prompt": matrix}, {"prompt": p_node.grad}, state, cfg)
-    acc = float(np.mean(np.argmax(logits.value, axis=1) == batch.labels))
-    return float(out.value[0, 0]), acc
-
-
-def _evaluate(prompt_value: np.ndarray, bb: FrozenBackbone, data: Dataset, chunk: int = 256):
+def _evaluate(prompt: eg.Node, bb: FrozenBackbone, data: Dataset, chunk: int = 256):
     total, correct = 0.0, 0
     for start in range(0, len(data), chunk):
         part = Dataset(ids=data.ids[start : start + chunk], labels=data.labels[start : start + chunk])
-        e_stack, lengths = _embed_batch(bb, part.ids)
-        logits = forward_batch(bb, prompt_value, e_stack, lengths)
+        e_stack, lengths = embed(bb, part.ids)
+        logits = forward_batch(bb, prompt, e_stack, lengths)
         total += float(loss(logits, part.labels).value[0, 0]) * len(part)
         correct += int(np.sum(np.argmax(logits.value, axis=1) == part.labels))
     return total / len(data), correct / len(data)
@@ -344,8 +379,6 @@ def train_loop(
     ``record_wall_time`` off, wall_ms is logged as 0.0 so metrics files
     are byte-reproducible.
     """
-    if method not in ("lamp", "vanilla-pt"):
-        raise ValueError(f"unknown method {method!r}, expected 'lamp' or 'vanilla-pt'")
     if mode not in pr.RECONSTRUCT_MODES:
         raise ValueError(f"unknown reconstruction mode {mode!r}")
     pool.validate_for_length(l)
@@ -355,6 +388,7 @@ def train_loop(
         )
     if task.seq_len > bb.config.m:
         raise ValueError(f"task sequences ({task.seq_len}) exceed backbone length m={bb.config.m}")
+    trainable, w_sa, n_params = init_prompt(method, pool, bb, l=l, r=r, top_k=top_k, seed=cfg.seed)
 
     d_before = digest(bb)
     train_data, held_data = data if data is not None else (
@@ -362,44 +396,15 @@ def train_loop(
         generate_dataset(task, n_heldout, split=1),
     )
 
-    # synthetic vocabulary: the backbone embedding table, most frequent first
-    vocab = pr.make_vocab(bb.embedding)
-    eff_top_k = min(top_k, bb.config.vocab_size)
-    sp = pr.init_source_prompt(vocab, l=l, top_k=eff_top_k, seed=cfg.seed)
-
-    dp: pr.DecomposedPrompt | None = None
-    pt_matrix: np.ndarray | None = None
-    w_sa: pr.SelfAttnPoolParams | None = None
-    if method == "lamp":
-        dp = pr.decompose(sp, r)
-        n_params = pr.lamp_param_count(l, bb.config.d, r)
-        if pool.mode == "self-attention":
-            w_sa = pr.init_self_attn_pool(bb.config.d, l, pool.p, seed=cfg.seed)
-            n_params += w_sa.w_sa.size
-    else:
-        pt_matrix = sp.tokens.copy()
-        n_params = pr.vanilla_pt_param_count(l, bb.config.d)
-
-    def current_prompt() -> np.ndarray:
-        if method == "vanilla-pt":
-            return pt_matrix
-        lv = pr.leaves(dp, trainable=False)
-        w_node = eg.constant(w_sa.w_sa) if w_sa is not None else None
-        return pr.apply_pool(pr.reconstruct(lv, mode), pool, w_node).value
+    def eval_prompt() -> eg.Node:
+        return prompt_graph(trainable, pool, mode, w_sa, grad=False)[0]
 
     state = OptimizerState()
     shuffle_rng = np.random.default_rng([cfg.seed, 0xC0FFEE])
     records: list[dict] = []
-
-    def log_eval(epoch: int, wall_ms: float) -> tuple[float, float]:
-        pv = current_prompt()
-        tr_loss, tr_acc = _evaluate(pv, bb, train_data)
-        he_loss, he_acc = _evaluate(pv, bb, held_data)
-        records.append(_record(epoch, "train", tr_loss, tr_acc, n_params, wall_ms))
-        records.append(_record(epoch, "heldout", he_loss, he_acc, n_params, wall_ms))
-        return he_loss, he_acc
-
-    log_eval(0, 0.0)
+    prompt = eval_prompt()
+    for split, part in (("train", train_data), ("heldout", held_data)):
+        records.append(_record(0, split, *_evaluate(prompt, bb, part), n_params, 0.0))
     final_train_loss = records[0]["loss"]
     final_held_acc = records[1]["accuracy"]
 
@@ -410,15 +415,11 @@ def train_loop(
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             batch = Dataset(ids=train_data.ids[sel], labels=train_data.labels[sel])
-            if method == "lamp":
-                b_loss, b_acc = train_step(dp, pool, bb, batch, state, cfg, mode, w_sa)
-            else:
-                b_loss, b_acc = _pt_train_step(pt_matrix, pool, bb, batch, state, cfg)
+            b_loss, b_acc = train_step(trainable, pool, bb, batch, state, cfg, mode, w_sa)
             ep_loss += b_loss
             ep_acc += b_acc
             n_batches += 1
-        pv = current_prompt()
-        he_loss, he_acc = _evaluate(pv, bb, held_data)
+        he_loss, he_acc = _evaluate(eval_prompt(), bb, held_data)
         wall = (time.perf_counter() - t0) * 1000.0 if record_wall_time else 0.0
         final_train_loss = ep_loss / n_batches
         final_held_acc = he_acc
@@ -432,8 +433,8 @@ def train_loop(
         mode=mode,
         pool=pool,
         trainable_params=n_params,
-        dp=dp,
-        pt_matrix=pt_matrix,
+        dp=trainable if method == "lamp" else None,
+        pt_matrix=trainable if method == "vanilla-pt" else None,
         w_sa=w_sa,
         digest_before=d_before,
         digest_after=d_after,
@@ -444,7 +445,7 @@ def train_loop(
 
 
 def gradcheck(
-    dp: pr.DecomposedPrompt,
+    trainable: pr.DecomposedPrompt | np.ndarray,
     pool: pr.PoolConfig,
     bb: FrozenBackbone,
     batch: Dataset,
@@ -456,30 +457,23 @@ def gradcheck(
 ) -> dict[str, float]:
     """Analytic vs. central-difference gradients through the whole chain.
 
-    Samples up to ``n_coords`` coordinates per parameter group and
-    returns the max relative error of each; the accepted bar is 1e-4.
+    ``trainable`` is what :func:`train_step` takes.  Samples up to
+    ``n_coords`` coordinates per parameter group and returns the max
+    relative error of each; the accepted bar is 1e-4.
     """
-    e_stack, lengths = _embed_batch(bb, batch.ids)
-    logits, lv, w_node = _lamp_forward(dp, mode, pool, w_sa, bb, e_stack, lengths)
-    eg.backward(loss(logits, batch.labels))
-
-    groups: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        "u": (dp.u, lv.u.grad),
-        "q": (dp.q, lv.q.grad.reshape(-1)),
-        "v": (dp.v, lv.v.grad),
-    }
-    if w_node is not None:
-        groups["w_sa"] = (w_sa.w_sa, w_node.grad)
+    e_stack, lengths = embed(bb, batch.ids)
+    prompt, groups = prompt_graph(trainable, pool, mode, w_sa)
+    eg.backward(loss(forward_batch(bb, prompt, e_stack, lengths), batch.labels))
 
     def loss_at() -> float:
-        lg, _, _ = _lamp_forward(dp, mode, pool, w_sa, bb, e_stack, lengths, trainable=False)
-        return float(loss(lg, batch.labels).value[0, 0])
+        probe, _ = prompt_graph(trainable, pool, mode, w_sa, grad=False)
+        return float(loss(forward_batch(bb, probe, e_stack, lengths), batch.labels).value[0, 0])
 
     rng = np.random.default_rng([seed, 0xFD])
     report: dict[str, float] = {}
-    for name, (theta, analytic) in groups.items():
+    for name, (theta, leaf) in groups.items():
         flat = theta.reshape(-1)
-        aflat = analytic.reshape(-1)
+        aflat = leaf.grad.reshape(-1)
         take = min(n_coords, flat.size)
         coords = rng.choice(flat.size, size=take, replace=False)
         worst = 0.0

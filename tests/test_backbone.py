@@ -11,8 +11,7 @@ from lamptune.backbone import (
     FrozenBackbone,
     build_backbone,
     digest,
-    encode_input,
-    forward,
+    embed,
     forward_batch,
     sinusoidal_pe,
 )
@@ -35,6 +34,11 @@ def manual_pe(t, d):
             angle = pos / 10000.0 ** (2 * (j // 2) / d)
             pe[pos, j] = np.sin(angle) if j % 2 == 0 else np.cos(angle)
     return 0.02 * pe
+
+
+def forward_one(bb, prompt, ids):
+    """Logits (1, n_classes) of one example: forward_batch on a stack of one."""
+    return forward_batch(bb, prompt, *embed(bb, [ids]))
 
 
 def manual_forward(bb, prompt, e, n_real):
@@ -68,52 +72,54 @@ def test_pe_matches_looped_formula():
 
 def test_encode_empty_sequence_is_zero():
     bb = build_backbone(tiny_config())
-    np.testing.assert_array_equal(encode_input(bb, []), np.zeros((2, 4)))
+    e, lengths = embed(bb, [[], []])
+    np.testing.assert_array_equal(e, np.zeros((2, 2, 4)))
+    np.testing.assert_array_equal(lengths, [0, 0])
 
 
 def test_encode_gather_semantics_and_repeats():
     bb = build_backbone(tiny_config(m=4))
-    e = encode_input(bb, [3, 3, 7])
-    np.testing.assert_array_equal(e[0], bb.embedding[3])
-    np.testing.assert_array_equal(e[1], bb.embedding[3])
-    np.testing.assert_array_equal(e[2], bb.embedding[7])
-    np.testing.assert_array_equal(e[3], np.zeros(4))
+    e, lengths = embed(bb, [[3, 3, 7], [0, 1, 9]])
+    np.testing.assert_array_equal(e[0, 0], bb.embedding[3])
+    np.testing.assert_array_equal(e[0, 1], bb.embedding[3])
+    np.testing.assert_array_equal(e[0, 2], bb.embedding[7])
+    np.testing.assert_array_equal(e[1, :3], bb.embedding[[0, 1, 9]])
+    np.testing.assert_array_equal(e[:, 3], np.zeros((2, 4)))
+    np.testing.assert_array_equal(lengths, [3, 3])
 
 
 def test_encode_rejects_bad_ids_and_overflow():
     bb = build_backbone(tiny_config())
-    with pytest.raises(ValueError):
-        encode_input(bb, [10])
-    with pytest.raises(ValueError):
-        encode_input(bb, [-1])
-    with pytest.raises(ValueError):
-        encode_input(bb, [1, 2, 3])
+    for bad in ([[10]], [[-1]], [[1], [10]]):
+        with pytest.raises(ValueError, match="vocabulary of 10"):
+            embed(bb, bad)
+    with pytest.raises(ValueError, match="m=2"):
+        embed(bb, [[1, 2, 3]])
+    with pytest.raises(ValueError, match="shape"):
+        embed(bb, [1, 2])
 
 
 def test_forward_matches_manual_oracle_tiny():
     bb = build_backbone(tiny_config())
     prompt = RNG.standard_normal((1, 4))
-    e = encode_input(bb, [4, 9])
-    got = forward(bb, prompt, e).value.ravel()
-    want = manual_forward(bb, prompt, e, n_real=2)
+    got = forward_one(bb, prompt, [4, 9]).value.ravel()
+    want = manual_forward(bb, prompt, embed(bb, [[4, 9]])[0][0], n_real=2)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_forward_matches_manual_oracle_padded_multihead():
     bb = build_backbone(tiny_config(d=8, n_heads=2, n_layers=2, m=3, seed=9))
     prompt = RNG.standard_normal((2, 8))
-    e = encode_input(bb, [1, 6])  # one pad position
-    got = forward(bb, prompt, e).value.ravel()
-    want = manual_forward(bb, prompt, e, n_real=2)
+    got = forward_one(bb, prompt, [1, 6]).value.ravel()  # one pad position
+    want = manual_forward(bb, prompt, embed(bb, [[1, 6]])[0][0], n_real=2)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_forward_deterministic():
     bb = build_backbone(tiny_config(d=8, n_heads=2, n_layers=2, m=3))
     prompt = RNG.standard_normal((3, 8))
-    e = encode_input(bb, [2, 5, 1])
-    a = forward(bb, prompt, e).value
-    b = forward(bb, prompt, e).value
+    a = forward_one(bb, prompt, [2, 5, 1]).value
+    b = forward_one(bb, prompt, [2, 5, 1]).value
     assert np.array_equal(a, b)
 
 
@@ -121,10 +127,9 @@ def test_identical_prompt_rows_commute():
     bb = build_backbone(tiny_config())
     prompt = RNG.standard_normal((3, 4))
     prompt[2] = prompt[0]
-    e = encode_input(bb, [1])
-    base = forward(bb, prompt, e).value
+    base = forward_one(bb, prompt, [1]).value
     swapped = prompt[[2, 1, 0]]
-    np.testing.assert_array_equal(forward(bb, swapped, e).value, base)
+    np.testing.assert_array_equal(forward_one(bb, swapped, [1]).value, base)
 
 
 BATCH_BB = build_backbone(tiny_config(d=8, n_heads=2, n_layers=2, m=3, vocab_size=20))
@@ -134,19 +139,17 @@ BATCH_PROMPT = RNG.standard_normal((2, 8))
 @given(st.lists(st.lists(st.integers(0, 19), max_size=3), min_size=1, max_size=6))
 @example([[1, 2, 3], [4], []])
 def test_batch_matches_per_example_forward(seqs):
-    stack = np.stack([encode_input(BATCH_BB, s) for s in seqs])
-    lengths = np.array([len(s) for s in seqs])
-    got = forward_batch(BATCH_BB, BATCH_PROMPT, stack, lengths).value
+    stacks, lengths = zip(*(embed(BATCH_BB, [s]) for s in seqs))
+    got = forward_batch(BATCH_BB, BATCH_PROMPT, np.concatenate(stacks), np.concatenate(lengths)).value
     for i, s in enumerate(seqs):
-        want = forward(BATCH_BB, BATCH_PROMPT, encode_input(BATCH_BB, s)).value.ravel()
+        want = forward_one(BATCH_BB, BATCH_PROMPT, s).value.ravel()
         np.testing.assert_allclose(got[i], want, atol=1e-12)
 
 
 def test_gradient_reaches_prompt_and_not_weights():
     bb = build_backbone(tiny_config())
     p = eg.parameter(RNG.standard_normal((2, 4)))
-    e = encode_input(bb, [4, 9])
-    logits = forward(bb, p, e)
+    logits = forward_one(bb, p, [4, 9])
     eg.backward(eg.cross_entropy(logits, [1]))
     assert np.any(p.grad != 0.0)
     before = digest(bb)
@@ -181,7 +184,7 @@ def test_digest_constant_across_training_like_use():
     before = digest(bb)
     for _ in range(5):
         p = eg.parameter(RNG.standard_normal((2, 4)))
-        logits = forward(bb, p, encode_input(bb, [1, 2]))
+        logits = forward_one(bb, p, [1, 2])
         eg.backward(eg.cross_entropy(logits, [0]))
     assert digest(bb) == before
 
@@ -196,8 +199,8 @@ def test_config_validation():
 def test_forward_rejects_bad_shapes():
     bb = build_backbone(tiny_config())
     with pytest.raises(eg.ShapeError):
-        forward(bb, RNG.standard_normal((2, 5)), encode_input(bb, [1]))
+        forward_one(bb, RNG.standard_normal((2, 5)), [1])
     with pytest.raises(eg.ShapeError):
-        forward(bb, RNG.standard_normal((2, 4)), np.zeros((3, 4)))
+        forward_batch(bb, RNG.standard_normal((2, 4)), np.zeros((1, 3, 4)), np.array([3]))
     with pytest.raises(eg.ShapeError):
         forward_batch(bb, RNG.standard_normal((2, 4)), np.zeros((2, 2, 4)), np.array([1]))

@@ -187,6 +187,15 @@ def test_cmd_gradcheck_passes_tiny_config(tmp_path, capsys):
     assert all(v <= 1e-4 for v in blob.values())
 
 
+def test_cmd_gradcheck_checks_the_vanilla_pt_matrix(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    write_config(path, **{"prompt.method": "vanilla-pt"})
+    assert main(["--config", str(path), "gradcheck"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert set(blob) == {"prompt"}
+    assert blob["prompt"] <= 1e-4
+
+
 # ---------------------------------------------------------------- bench
 
 def test_cmd_bench_rows_and_exit_codes(tmp_path, capsys):
@@ -202,6 +211,11 @@ def test_cmd_bench_rows_and_exit_codes(tmp_path, capsys):
 
     assert main(["--config", str(path), "bench", "--pool-blocks", ""]) == 2
     assert main(["--config", str(path), "bench", "--pool-blocks", "3"]) == 2
+    capsys.readouterr()
+    # pooling is the bench's only axis, and vanilla PT never pools
+    write_config(path, **{"prompt.method": "vanilla-pt"})
+    assert main(["--config", str(path), "bench", "--pool-blocks", "1,2"]) == 2
+    assert "prompt.method" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- export / decompose

@@ -22,8 +22,18 @@ from oracles import (
 RNG = np.random.default_rng(7)
 
 
+def weighted_sum(out: eg.Node) -> eg.Node:
+    """Scalar loss r^T out c with random r and c fixed by the shape; a
+    stack is flattened to its (B*n, k) rows first."""
+    x = eg.merge_lead(out) if out.value.ndim == 3 else out
+    n, k = x.value.shape
+    rng = np.random.default_rng([n, k])
+    r, c = rng.standard_normal((1, n)), rng.standard_normal((k, 1))
+    return eg.matmul(eg.matmul(eg.constant(r), x), eg.constant(c))
+
+
 def scalar_through(op, arrays, which: int, reduce_extra=None):
-    """Scalar loss = sum(op(arrays)) as a function of arrays[which].
+    """Scalar loss = weighted_sum(op(arrays)) as a function of arrays[which].
 
     Returns (analytic grad, numeric grad) for comparison.
     """
@@ -31,7 +41,7 @@ def scalar_through(op, arrays, which: int, reduce_extra=None):
     def run(xs):
         nodes = [eg.parameter(x) for x in xs]
         out = op(*nodes)
-        loss = eg.sum_all(out) if out.value.shape != (1, 1) else out
+        loss = weighted_sum(out) if out.value.shape != (1, 1) else out
         return nodes, loss
 
     nodes, loss = run(arrays)
@@ -68,11 +78,10 @@ def test_outer_product_sum_matches_elementwise_loops():
     np.testing.assert_allclose(got, naive_outer_sum(m, i), atol=1e-13)
 
 
-def test_add_multiply_scale_grads():
+def test_add_scale_grads():
     x = RNG.standard_normal((3, 4))
     y = RNG.standard_normal((3, 4))
     assert_grad(eg.add, [x, y])
-    assert_grad(eg.multiply, [x, y])
     assert_grad(lambda a: eg.scale(a, -2.5), [x])
 
 
@@ -94,8 +103,6 @@ def test_batch_matmul_forward_and_grads():
 def test_transpose_grads():
     x = RNG.standard_normal((3, 5))
     assert_grad(lambda a: eg.matmul(eg.transpose(a), a), [x])
-    s = RNG.standard_normal((2, 3, 4))
-    assert_grad(lambda a: eg.batch_matmul(eg.batch_transpose(a), a), [s])
 
 
 def test_diag_forward_and_grad():
@@ -133,34 +140,9 @@ def test_softmax_rows_sum_to_one_and_grad():
     x = RNG.standard_normal((4, 7)) * 3
     out = eg.softmax(eg.constant(x)).value
     np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-14)
-    w = RNG.standard_normal((4, 7))
-    assert_grad(lambda a: eg.multiply(eg.softmax(a), eg.constant(w)), [x], tol=1e-7)
+    assert_grad(eg.softmax, [x], tol=1e-7)
     s = RNG.standard_normal((2, 3, 4))
-    ws = RNG.standard_normal((2, 3, 4))
-    assert_grad(lambda a: eg.multiply(eg.softmax(a), eg.constant(ws)), [s], tol=1e-7)
-
-
-def test_mean_rows_and_sum_all():
-    x = RNG.standard_normal((6, 3))
-    np.testing.assert_allclose(eg.mean_rows(eg.constant(x)).value, x.mean(axis=0, keepdims=True))
-    assert_grad(eg.mean_rows, [x])
-    np.testing.assert_allclose(eg.sum_all(eg.constant(x)).value[0, 0], x.sum())
-
-
-def test_gather_rows_accumulates_duplicate_ids():
-    table = RNG.standard_normal((5, 3))
-    ids = np.array([1, 3, 1, 0])
-    got = eg.gather_rows(eg.constant(table), ids).value
-    np.testing.assert_allclose(got, table[ids])
-    # duplicate row 1 must receive the sum of both adjoints
-    t = eg.parameter(table)
-    out = eg.gather_rows(t, ids)
-    loss = eg.sum_all(out)
-    eg.backward(loss)
-    expect = np.zeros_like(table)
-    for i in ids:
-        expect[i] += 1.0
-    np.testing.assert_allclose(t.grad, expect)
+    assert_grad(eg.softmax, [s], tol=1e-7)
 
 
 def test_cross_entropy_matches_manual_and_grad():
@@ -173,8 +155,6 @@ def test_cross_entropy_matches_manual_and_grad():
 
 def test_concat_and_reshape_ops_roundtrip_grads():
     a = RNG.standard_normal((3, 4))
-    b = RNG.standard_normal((2, 4))
-    assert_grad(eg.concat_rows, [a, b])
     s1 = RNG.standard_normal((2, 3, 4))
     s2 = RNG.standard_normal((2, 5, 4))
     assert_grad(eg.concat_axis1, [s1, s2])
@@ -219,10 +199,9 @@ def test_attention_matches_per_example_oracle_across_blocks():
 
 
 def test_attention_grads_every_operand():
-    q, k, v, w = (RNG.standard_normal((15, 6)) for _ in range(4))
+    q, k, v = (RNG.standard_normal((15, 6)) for _ in range(3))
     with mock.patch.object(eg, "BLOCK_BYTES", 1):
-        assert_grad(lambda a, b, c: eg.multiply(eg.attention(a, b, c, 3, [5, 2, 4]), eg.constant(w)),
-                    [q, k, v], tol=1e-7)
+        assert_grad(lambda a, b, c: eg.attention(a, b, c, 3, [5, 2, 4]), [q, k, v], tol=1e-7)
 
 
 def test_attention_rejects_bad_shapes_and_key_lengths():
@@ -257,7 +236,7 @@ def fused_values_and_grads(block_bytes, x, ws, key_len, h):
         qkv = [eg.matmul(xn, eg.constant(w)) for w in ws[:3]]
         mixed = eg.attention(*qkv, h, key_len)
         out = eg.gelu_mlp(mixed, eg.constant(ws[3]), eg.constant(ws[4]))
-        eg.backward(eg.sum_all(eg.multiply(out, eg.constant(ws[5]))))
+        eg.backward(weighted_sum(out))
     return out.value, xn.grad
 
 
@@ -271,7 +250,7 @@ def test_fused_ops_bit_identical_for_any_block_size(block_bytes, b, t, seed):
     rng = np.random.default_rng(seed)
     d, h, f = 4, 2, 8
     x = rng.standard_normal((b * t, d))
-    ws = [rng.standard_normal(s) for s in ((d, d), (d, d), (d, d), (d, f), (f, d), (b * t, d))]
+    ws = [rng.standard_normal(s) for s in ((d, d), (d, d), (d, d), (d, f), (f, d))]
     key_len = rng.integers(1, t + 1, size=b)
     # BLOCK_BYTES of 1 puts every example and row in its own block, 1<<14
     # puts all of them in one block
@@ -326,8 +305,7 @@ def test_backward_requires_scalar():
 def test_frozen_leaves_get_no_gradient():
     w = eg.constant(RNG.standard_normal((3, 3)))
     x = eg.parameter(RNG.standard_normal((2, 3)))
-    loss = eg.sum_all(eg.matmul(x, w))
-    eg.backward(loss)
+    eg.backward(weighted_sum(eg.matmul(x, w)))
     assert not w.requires_grad
     np.testing.assert_array_equal(w.grad, np.zeros((3, 3)))
     assert np.any(x.grad != 0)
@@ -335,8 +313,10 @@ def test_frozen_leaves_get_no_gradient():
 
 def test_reused_node_accumulates_both_paths():
     x = eg.parameter(np.array([[2.0, 3.0]]))
-    y = eg.add(eg.multiply(x, x), x)  # x^2 + x, dy/dx = 2x + 1
-    eg.backward(eg.sum_all(y))
+    # x x^T + x 1 = sum(x^2 + x): x feeds both products and both operands
+    # of the first, so dy/dx = 2x + 1
+    y = eg.add(eg.matmul(x, eg.transpose(x)), eg.matmul(x, eg.constant(np.ones((2, 1)))))
+    eg.backward(y)
     np.testing.assert_allclose(x.grad, 2 * x.value + 1)
 
 
@@ -346,7 +326,7 @@ def test_repeated_forward_is_bit_identical():
 
     def run():
         pa, pb = eg.parameter(a), eg.parameter(b)
-        loss = eg.sum_all(eg.gelu(eg.matmul(pa, pb)))
+        loss = weighted_sum(eg.gelu(eg.matmul(pa, pb)))
         eg.backward(loss)
         return loss.value.copy(), pa.grad.copy()
 
@@ -361,5 +341,5 @@ def test_deep_chain_does_not_blow_recursion():
     y = x
     for _ in range(5000):
         y = eg.scale(y, 1.0)
-    eg.backward(eg.sum_all(y))
+    eg.backward(y)
     np.testing.assert_allclose(x.grad, np.ones((1, 1)))

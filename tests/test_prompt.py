@@ -272,6 +272,7 @@ def test_pool_chain_gradients_match_finite_differences():
     dp = pr.decompose(pr.SourcePrompt(RNG.standard_normal((l, d))), r=r)
     w0 = 0.1 * RNG.standard_normal((d, l // p))
     target = RNG.standard_normal((l // p, d))
+    weights = eg.constant(RNG.standard_normal((1, l // p)))
 
     def loss_value(u, q, v, w, mode, pool_mode):
         lv = pr.PromptLeaves(u=eg.parameter(u), q=eg.parameter(q.reshape(1, -1)), v=eg.parameter(v))
@@ -279,7 +280,8 @@ def test_pool_chain_gradients_match_finite_differences():
         c = pr.reconstruct(lv, mode)
         pooled = pr.apply_pool(c, pr.PoolConfig(mode=pool_mode, p=p), wn)
         diff = eg.add(pooled, eg.scale(eg.constant(target), -1.0))
-        loss = eg.sum_all(eg.multiply(diff, diff))
+        mixed = eg.matmul(weights, diff)  # squared norm of a fixed random mix of the rows
+        loss = eg.matmul(mixed, eg.transpose(mixed))
         return loss, lv, wn
 
     for mode in pr.RECONSTRUCT_MODES:

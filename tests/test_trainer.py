@@ -5,7 +5,7 @@ import pytest
 
 import lamptune.engine as eg
 import lamptune.prompt as pr
-from lamptune.backbone import BackboneConfig, build_backbone, digest
+from lamptune.backbone import BackboneConfig, build_backbone, digest, embed, forward_batch
 from lamptune.trainer import (
     Dataset,
     OptimizerState,
@@ -15,6 +15,7 @@ from lamptune.trainer import (
     few_shot_subsample,
     generate_dataset,
     gradcheck,
+    init_prompt,
     label_of,
     loss,
     train_loop,
@@ -33,18 +34,14 @@ def tiny_backbone(vocab=12, d=16, layers=1, heads=2, ffn=32, m=6, classes=2, see
     )
 
 
-def tiny_setup(pool_mode="none", p=1, seed=5):
+def tiny_setup(pool_mode="none", p=1, seed=5, method="lamp"):
+    """Backbone, starting trainable state (l=8, r=3), pool, W_sa and a batch."""
     bb = tiny_backbone()
-    vocab = pr.make_vocab(bb.embedding)
-    sp = pr.init_source_prompt(vocab, l=8, top_k=12, seed=seed)
-    dp = pr.decompose(sp, 3)
     pool = pr.PoolConfig(mode=pool_mode, p=p)
-    w_sa = None
-    if pool_mode == "self-attention":
-        w_sa = pr.init_self_attn_pool(16, 8, p, seed=seed)
+    trainable, w_sa, _ = init_prompt(method, pool, bb, l=8, r=3, top_k=12, seed=seed)
     task = SyntheticTask(rule="token-presence", vocab_size=12, seq_len=6, seed=seed)
     batch = generate_dataset(task, 6)
-    return bb, dp, pool, w_sa, batch
+    return bb, trainable, pool, w_sa, batch
 
 
 # ---------------------------------------------------------------- loss
@@ -200,15 +197,18 @@ def test_few_shot_deterministic_and_bounded():
 
 # ---------------------------------------------------------------- steps
 
-def test_train_step_lr_zero_leaves_factors_bit_identical():
-    bb, dp, pool, w_sa, batch = tiny_setup()
-    before = (dp.u.copy(), dp.q.copy(), dp.v.copy())
+@pytest.mark.parametrize("method", ["lamp", "vanilla-pt"])
+def test_train_step_lr_zero_leaves_factors_bit_identical(method):
+    bb, trainable, pool, w_sa, batch = tiny_setup(method=method)
+    arrays = [trainable] if method == "vanilla-pt" else [trainable.u, trainable.q, trainable.v]
+    before = [a.copy() for a in arrays]
     cfg = TrainConfig(learning_rate=0.0, weight_decay=0.0, epochs=1)
-    lv, acc = train_step(dp, pool, bb, batch, OptimizerState(), cfg)
+    state = OptimizerState()
+    lv, acc = train_step(trainable, pool, bb, batch, state, cfg)
     assert np.isfinite(lv) and 0.0 <= acc <= 1.0
-    assert np.array_equal(dp.u, before[0])
-    assert np.array_equal(dp.q, before[1])
-    assert np.array_equal(dp.v, before[2])
+    assert state.float_count() == 2 * sum(a.size for a in arrays)
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
 
 
 def test_train_step_updates_all_groups_and_keeps_digest():
@@ -233,10 +233,7 @@ def test_single_step_matches_composed_oracle():
         probe = pr.DecomposedPrompt(u=u, q=q, v=v)
         lv = pr.leaves(probe, trainable=False)
         pooled = pr.apply_pool(pr.reconstruct(lv, "verbatim"), pool, None)
-        from lamptune.backbone import forward_batch
-        from lamptune.trainer import _embed_batch
-
-        e_stack, lengths = _embed_batch(bb, batch.ids)
+        e_stack, lengths = embed(bb, batch.ids)
         return float(loss(forward_batch(bb, pooled, e_stack, lengths), batch.labels).value[0, 0])
 
     # central differences over every coordinate of the tiny triple
@@ -353,6 +350,15 @@ def test_train_loop_rejects_mismatched_vocab_and_method():
     task = SyntheticTask(vocab_size=12, seq_len=6, seed=5)
     with pytest.raises(ValueError, match="method"):
         train_loop(task, "prefix-tuning", loop_config(), pool, bb, l=8, r=3, top_k=12)
+    # ids from outside generate_dataset are checked too: -1 would
+    # silently read the last embedding row
+    good = generate_dataset(task, 4)
+    for bad_id in (-1, 12):
+        ids = good.ids.copy()
+        ids[1, 2] = bad_id
+        bad = Dataset(ids=ids, labels=good.labels)
+        with pytest.raises(ValueError, match="vocabulary of 12"):
+            train_loop(task, "lamp", loop_config(), pool, bb, l=8, r=3, top_k=12, data=(bad, good))
 
 
 def test_checkpoint_prompt_roundtrips_for_both_methods():
@@ -373,14 +379,21 @@ def test_checkpoint_prompt_roundtrips_for_both_methods():
 
 # ---------------------------------------------------------------- gradcheck
 
-@pytest.mark.parametrize("pool_mode", ["average", "self-attention"])
-@pytest.mark.parametrize("mode", ["verbatim", "balanced"])
-def test_gradcheck_passes_all_combinations(pool_mode, mode):
-    bb, dp, _, _, batch = tiny_setup(seed=8)
-    pool = pr.PoolConfig(mode=pool_mode, p=2)
-    w_sa = pr.init_self_attn_pool(16, 8, 2, seed=8) if pool_mode == "self-attention" else None
-    report = gradcheck(dp, pool, bb, batch, mode, w_sa=w_sa, n_coords=40, seed=8)
-    groups = {"u", "q", "v"} | ({"w_sa"} if w_sa is not None else set())
+GRADCHECK_CASES = [
+    pytest.param("lamp", mode, pool_mode, id=f"{mode}-{pool_mode}")
+    for mode in ("verbatim", "balanced")
+    for pool_mode in ("average", "self-attention")
+] + [pytest.param("vanilla-pt", "verbatim", "none", id="vanilla-pt")]
+
+
+@pytest.mark.parametrize("method, mode, pool_mode", GRADCHECK_CASES)
+def test_gradcheck_passes_all_combinations(method, mode, pool_mode):
+    bb, trainable, pool, w_sa, batch = tiny_setup(pool_mode, p=2, seed=8, method=method)
+    report = gradcheck(trainable, pool, bb, batch, mode, w_sa=w_sa, n_coords=40, seed=8)
+    if method == "vanilla-pt":
+        groups = {"prompt"}
+    else:
+        groups = {"u", "q", "v"} | ({"w_sa"} if pool_mode == "self-attention" else set())
     assert set(report) == groups
     for name, err in report.items():
         assert err <= 1e-4, f"{name} gradient off by {err}"
