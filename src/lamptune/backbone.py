@@ -18,9 +18,19 @@ gradients.  Activations stay one (B*T, d) matrix for the linear layers,
 which keeps the step at a few dozen large operations instead of
 thousands of per-example ones.
 
+Until layer 0's attention mixes them with the input, the k prompt rows
+are the same in every example.  So the prompt plus its position
+encodings, layer 0's first layer norm and its Q/K/V projection run once
+on those k rows, and on the B*m input rows as constants that need no
+gradient; ``engine.shared_prefix`` places the prompt rows in front of
+every example's rows, for the residual stream and for the projection,
+and sums their adjoints over the batch in the backward.  Every layer
+projects Q, K and V with one product against [wq | wk | wv], kept per
+layer in ``FrozenBackbone.qkv`` outside the weights and the digest.
+
 Each layer is two fused engine ops between its projections:
-``engine.attention`` reads the heads straight from the (B*T, d) Q/K/V
-projections and hides pad keys by per-example key length, and
+``engine.attention`` reads the heads straight from the (B*T, 3d) Q/K/V
+projection and hides pad keys by per-example key length, and
 ``engine.gelu_mlp`` is the whole feed-forward block.  Both do their
 elementwise work in cache-sized blocks of whole examples or rows, set by
 the fixed ``engine.BLOCK_BYTES``; attention recomputes each block's
@@ -33,7 +43,7 @@ checked finite once, when a ``FrozenBackbone`` is made.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,12 +85,20 @@ class BackboneConfig:
 class FrozenBackbone:
     config: BackboneConfig
     weights: dict[str, np.ndarray]  # never mutated after build
+    # per layer, [wq | wk | wv] as one (d, 3d) matrix; derived from the
+    # weights, so it stays out of them and out of the digest
+    qkv: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # checked once here, so each forward can wrap the weights unscanned
         for name, arr in self.weights.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"backbone weight {name} contains non-finite entries")
+        qkv = tuple(
+            np.concatenate([self.weights[f"layer{i}.{w}"] for w in ("wq", "wk", "wv")], axis=1)
+            for i in range(self.config.n_layers)
+        )
+        object.__setattr__(self, "qkv", qkv)
 
     @property
     def embedding(self) -> np.ndarray:
@@ -169,17 +187,18 @@ def _pool_weights(k: int, t: int, lengths: np.ndarray) -> np.ndarray:
 
 
 # Position encodings are pure constants: no gradient ever reaches them,
-# so the broadcast stack can be shared across calls and across tapes.
-_PE_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
+# so one read-only (t, d) table serves every batch size and every tape.
+_PE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _pe_stack(b: int, t: int, d: int) -> np.ndarray:
-    key = (b, t, d)
-    stack = _PE_CACHE.get(key)
-    if stack is None:
-        stack = np.broadcast_to(sinusoidal_pe(t, d), (b, t, d)).copy()
-        _PE_CACHE[key] = stack
-    return stack
+def _pe_table(t: int, d: int) -> np.ndarray:
+    key = (t, d)
+    table = _PE_CACHE.get(key)
+    if table is None:
+        table = sinusoidal_pe(t, d)
+        table.flags.writeable = False
+        _PE_CACHE[key] = table
+    return table
 
 
 def forward_batch(bb: FrozenBackbone, prompt, e_stack: np.ndarray, lengths) -> eg.Node:
@@ -201,22 +220,33 @@ def forward_batch(bb: FrozenBackbone, prompt, e_stack: np.ndarray, lengths) -> e
     b = e_stack.shape[0]
     k = p_node.value.shape[0]
     t = k + cfg.m
-    # the weights were checked finite when the backbone was built
-    wt = {name: eg.Node(arr) for name, arr in bb.weights.items()}
+    pe = _pe_table(t, cfg.d)
 
-    seq = eg.concat_axis1(eg.tile_stack(p_node, b), eg.constant(e_stack))
-    seq = eg.add(seq, eg.Node(_pe_stack(b, t, cfg.d)))
-    x = eg.merge_lead(seq)  # (B*t, d) for all linear layers
+    def w(name: str) -> eg.Node:
+        # the weights were checked finite when the backbone was built
+        return eg.Node(bb.weights[name])
+
+    # layer 0's input: the prompt rows once, the input rows as a constant
+    # (which also checks the input stack finite)
+    p_rows = eg.add(p_node, eg.Node(pe[:k]))
+    e_rows = eg.constant((e_stack + pe[k:]).reshape(b * cfg.m, cfg.d))
+    x = eg.shared_prefix(p_rows, e_rows, b)  # (B*t, d) for all linear layers
     key_len = k + lengths  # pad positions are hidden as keys
 
     for i in range(cfg.n_layers):
-        ln = eg.layer_norm(x, wt[f"layer{i}.ln1_g"], wt[f"layer{i}.ln1_b"])
-        qkv = [eg.matmul(ln, wt[f"layer{i}.{w}"]) for w in ("wq", "wk", "wv")]
-        mixed = eg.attention(*qkv, cfg.n_heads, key_len)
-        x = eg.add(x, eg.matmul(mixed, wt[f"layer{i}.wo"]))
-        ln2 = eg.layer_norm(x, wt[f"layer{i}.ln2_g"], wt[f"layer{i}.ln2_b"])
-        x = eg.add(x, eg.gelu_mlp(ln2, wt[f"layer{i}.w1"], wt[f"layer{i}.w2"]))
+        g1, b1, wqkv = w(f"layer{i}.ln1_g"), w(f"layer{i}.ln1_b"), eg.Node(bb.qkv[i])
+        if i == 0:
+            # every example's prompt rows are equal until attention mixes
+            # them with its input: normalize and project them once
+            proj = [eg.matmul(eg.layer_norm(rows, g1, b1), wqkv) for rows in (p_rows, e_rows)]
+            qkv = eg.shared_prefix(*proj, b)
+        else:
+            qkv = eg.matmul(eg.layer_norm(x, g1, b1), wqkv)
+        mixed = eg.attention(qkv, cfg.n_heads, key_len)
+        x = eg.add(x, eg.matmul(mixed, w(f"layer{i}.wo")))
+        ln2 = eg.layer_norm(x, w(f"layer{i}.ln2_g"), w(f"layer{i}.ln2_b"))
+        x = eg.add(x, eg.gelu_mlp(ln2, w(f"layer{i}.w1"), w(f"layer{i}.w2")))
 
-    x = eg.layer_norm(x, wt["lnf_g"], wt["lnf_b"])
+    x = eg.layer_norm(x, w("lnf_g"), w("lnf_b"))
     pooled = eg.batch_matmul(eg.constant(_pool_weights(k, t, lengths)), eg.split_lead(x, b))
-    return eg.matmul(eg.merge_lead(pooled), wt["head"])
+    return eg.matmul(eg.merge_lead(pooled), w("head"))

@@ -67,6 +67,7 @@ def _ensure_out(path: str) -> str:
 
 
 def _cmd_train(args, report_wall: bool) -> int:
+    from .artifacts import write_atomic
     from .backbone import build_backbone
     from .config import load_config
     from .analysis import cost_report
@@ -102,8 +103,7 @@ def _cmd_train(args, report_wall: bool) -> int:
         method=cfg.prompt.method,
         sa_pool=cfg.prompt.pooling.mode == "self-attention",
     )
-    with open(os.path.join(out, "cost.json"), "w") as fh:
-        fh.write(rep.to_json() + "\n")
+    write_atomic(os.path.join(out, "cost.json"), rep.to_json() + "\n")
     print(
         f"trained {cfg.prompt.method} for {cfg.train.epochs} epochs: "
         f"final heldout accuracy {res.final_heldout_accuracy:.4f}; artifacts in {out}"
@@ -149,6 +149,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .artifacts import write_atomic
     from .backbone import build_backbone
     from .config import load_config
     from .bench import bench_pool_blocks
@@ -177,9 +178,7 @@ def _cmd_bench(args) -> int:
     bb = build_backbone(cfg.backbone)
     rows = bench_pool_blocks(cfg, bb, blocks, iters)
     out = _ensure_out(cfg.output_dir)
-    with open(os.path.join(out, "bench.json"), "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    write_atomic(os.path.join(out, "bench.json"), "".join(json.dumps(row) + "\n" for row in rows))
     for row in rows:
         print(json.dumps(row))
     return 0

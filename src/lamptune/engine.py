@@ -22,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# scale, gelu, split_heads and merge_heads have no caller in the package;
-# they stay exported because the benchmark's tracer looks them up by name
+# scale, gelu, split_heads, merge_heads, concat_axis1 and tile_stack have
+# no caller in the package; they stay exported because the benchmark's
+# tracer looks them up by name
 __all__ = [
     "Node",
     "ShapeError",
@@ -43,6 +44,7 @@ __all__ = [
     "cross_entropy",
     "concat_axis1",
     "tile_stack",
+    "shared_prefix",
     "merge_lead",
     "split_lead",
     "split_heads",
@@ -428,6 +430,35 @@ def tile_stack(a: Node, b: int) -> Node:
     return _op(np.broadcast_to(a.value, (b, *a.value.shape)).copy(), (a,), vjp)
 
 
+def shared_prefix(p: Node, x: Node, b: int) -> Node:
+    """The rows of ``b`` examples that all start with the same k rows.
+
+    ``p`` is the (k, c) shared prefix and ``x`` the (b*m, c) rows of the
+    examples, example by example.  The result is (b*(k+m), c): each
+    example's copy of ``p`` followed by its own m rows.  The adjoint of
+    ``p`` is the sum over examples of their prefix rows' adjoints, so
+    work done on ``p`` before this op is done once, not b times.
+    """
+    if p.value.ndim != 2 or x.value.ndim != 2 or p.value.shape[1] != x.value.shape[1]:
+        raise ShapeError(f"shared_prefix: incompatible shapes {p.value.shape} and {x.value.shape}")
+    if b < 1 or x.value.shape[0] % b != 0:
+        raise ShapeError(f"shared_prefix: {x.value.shape[0]} rows not divisible by {b} examples")
+    k, c = p.value.shape
+    m = x.value.shape[0] // b
+    out = np.empty((b, k + m, c))
+    out[:, :k] = p.value
+    out[:, k:] = x.value.reshape(b, m, c)
+
+    def vjp(g):
+        gs = g.reshape(b, k + m, c)
+        if p.requires_grad:
+            _accum(p, gs[:, :k].sum(axis=0), own=True)
+        if x.requires_grad:
+            _accum(x, gs[:, k:].reshape(b * m, c), own=True)
+
+    return _op(out.reshape(b * (k + m), c), (p, x), vjp)
+
+
 def merge_lead(a: Node) -> Node:
     """Flatten a stack (B,n,d) into a matrix (B*n, d)."""
     if a.value.ndim != 3:
@@ -490,26 +521,26 @@ def merge_heads(a: Node, b: int, h: int) -> Node:
     return _op(out, (a,), vjp)
 
 
-def attention(q: Node, k: Node, v: Node, n_heads: int, key_len) -> Node:
+def attention(qkv: Node, n_heads: int, key_len) -> Node:
     """Multi-head scaled dot-product attention with per-example key masks.
 
-    ``q``, ``k`` and ``v`` are (B*T, d) projections, example by example;
-    head j reads columns j*d/H .. (j+1)*d/H.  ``key_len`` holds one count
-    per example: its queries see only its first ``key_len[i]`` keys.  The
-    result is the (B*T, d) head-concatenated softmax(q kᵀ/√(d/H)) v.
+    ``qkv`` is the (B*T, 3d) projection [q | k | v], example by example;
+    head j of q reads columns j*d/H .. (j+1)*d/H, and of k and v the same
+    columns shifted by d and 2d.  ``key_len`` holds one count per example:
+    its queries see only its first ``key_len[i]`` keys.  The result is the
+    (B*T, d) head-concatenated softmax(q kᵀ/√(d/H)) v; the adjoint is one
+    (B*T, 3d) matrix laid out like ``qkv``.
 
     Blocks hold whole examples.  No probability tensor outlives a block:
     the backward recomputes each block's probabilities from q and k.
     """
-    for other in (k, v):
-        _same_shape(q, other, "attention")
-    if q.value.ndim != 2:
-        raise ShapeError(f"attention expects (B*T, d) matrices, got shape {q.value.shape}")
+    if qkv.value.ndim != 2 or qkv.value.shape[1] % 3 != 0:
+        raise ShapeError(f"attention expects a (B*T, 3d) matrix, got shape {qkv.value.shape}")
     key_len = np.asarray(key_len, dtype=np.int64).reshape(-1)
     b = key_len.shape[0]
-    n, d = q.value.shape
+    n, d = qkv.value.shape[0], qkv.value.shape[1] // 3
     if b < 1 or n % b != 0 or n_heads < 1 or d % n_heads != 0:
-        raise ShapeError(f"attention: shape {q.value.shape} not divisible by B={b}, H={n_heads}")
+        raise ShapeError(f"attention: shape {qkv.value.shape} not divisible by B={b}, H={n_heads}")
     t, h = n // b, n_heads
     dh = d // h
     if np.any(key_len < 1) or np.any(key_len > t):
@@ -519,10 +550,11 @@ def attention(q: Node, k: Node, v: Node, n_heads: int, key_len) -> Node:
     if np.any(key_len < t):  # (B, 1, 1, T) additive rows, broadcast over heads and queries
         mask = np.where(np.arange(t) >= key_len[:, None], MASK_VALUE, 0.0)[:, None, None, :]
 
-    def heads(a: np.ndarray) -> np.ndarray:
-        return a.reshape(b, t, h, dh).transpose(0, 2, 1, 3)  # (B, H, T, dh) view
+    def heads(a: np.ndarray, j: int = 0) -> np.ndarray:
+        """The (B, H, T, dh) view of columns j*d .. (j+1)*d of ``a``."""
+        return a[:, j * d : (j + 1) * d].reshape(b, t, h, dh).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = heads(q.value), heads(k.value), heads(v.value)
+    qh, kh, vh = (heads(qkv.value, j) for j in range(3))
     step = max(1, BLOCK_BYTES // (h * t * t * 8))
     blocks = [slice(s, min(s + step, b)) for s in range(0, b, step)]
     buf_shape = (min(step, b), h, t, t)
@@ -545,14 +577,12 @@ def attention(q: Node, k: Node, v: Node, n_heads: int, key_len) -> Node:
 
     def vjp(g):
         gh = heads(g)
-        dq, dk, dv = (np.empty((n, d)) if x.requires_grad else None for x in (q, k, v))
+        dqkv = np.empty((n, 3 * d))
+        dq, dk, dv = (heads(dqkv, j) for j in range(3))
         p_buf, dp_buf, s_buf = np.empty(buf_shape), np.empty(buf_shape), np.empty(buf_shape)
         for sl in blocks:
             p = probs(sl, p_buf)
-            if dv is not None:
-                np.matmul(p.transpose(0, 1, 3, 2), gh[sl], out=heads(dv)[sl])
-            if dq is None and dk is None:
-                continue
+            np.matmul(p.transpose(0, 1, 3, 2), gh[sl], out=dv[sl])
             # softmax backward: ds = p * (dp - rowsum(dp * p)), then the 1/√dh scale
             dp = dp_buf[: p.shape[0]]
             np.matmul(gh[sl], vh[sl].transpose(0, 1, 3, 2), out=dp)
@@ -560,15 +590,11 @@ def attention(q: Node, k: Node, v: Node, n_heads: int, key_len) -> Node:
             np.subtract(dp, s.sum(axis=-1, keepdims=True), out=dp)
             np.multiply(dp, p, out=dp)
             np.multiply(dp, c, out=dp)
-            if dq is not None:
-                np.matmul(dp, kh[sl], out=heads(dq)[sl])
-            if dk is not None:
-                np.matmul(dp.transpose(0, 1, 3, 2), qh[sl], out=heads(dk)[sl])
-        for x, gx in ((q, dq), (k, dk), (v, dv)):
-            if gx is not None:
-                _accum(x, gx, own=True)
+            np.matmul(dp, kh[sl], out=dq[sl])
+            np.matmul(dp.transpose(0, 1, 3, 2), qh[sl], out=dk[sl])
+        _accum(qkv, dqkv, own=True)
 
-    return _op(out, (q, k, v), vjp)
+    return _op(out, (qkv,), vjp)
 
 
 def gelu_mlp(x: Node, w1: Node, w2: Node) -> Node:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as eg
+from .artifacts import write_atomic
 from .svd import svd, truncate
 
 __all__ = [
@@ -322,7 +323,7 @@ _BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
 
 
 def save_checkpoint(path, dp: DecomposedPrompt, mode: str = "verbatim", pool: PoolConfig = PoolConfig()) -> None:
-    """Binary little-endian prompt checkpoint."""
+    """Binary little-endian prompt checkpoint, written atomically."""
     if mode not in _MODE_BYTE:
         raise ValueError(f"unknown reconstruction mode {mode!r}")
     blob = bytearray()
@@ -332,8 +333,7 @@ def save_checkpoint(path, dp: DecomposedPrompt, mode: str = "verbatim", pool: Po
     blob += dp.q.astype("<f8").tobytes(order="C")
     blob += dp.v.astype("<f8").tobytes(order="C")
     blob += struct.pack("<BBI", _MODE_BYTE[mode], _POOL_BYTE[pool.mode], pool.p)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def load_checkpoint(path) -> tuple[DecomposedPrompt, str, PoolConfig]:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import engine as eg
 from . import prompt as pr
+from .artifacts import write_atomic
 from .backbone import FrozenBackbone, digest, embed, forward_batch
 
 __all__ = [
@@ -279,7 +280,11 @@ def train_step(
     w_sa: pr.SelfAttnPoolParams | None = None,
 ) -> tuple[float, float]:
     """One forward/backward/update of the trainable state (see
-    :func:`prompt_graph`); returns the batch loss and accuracy."""
+    :func:`prompt_graph`); returns the batch loss and accuracy.
+
+    A non-finite gradient (named by its group) or loss raises ValueError
+    before anything is updated.
+    """
     if len(batch) == 0:
         raise ValueError("train_step needs a non-empty batch")
     e_stack, lengths = embed(bb, batch.ids)
@@ -287,14 +292,16 @@ def train_step(
     logits = forward_batch(bb, prompt, e_stack, lengths)
     out = loss(logits, batch.labels)
     eg.backward(out)
-    adamw_update(
-        {name: theta for name, (theta, _) in groups.items()},
-        {name: leaf.grad.reshape(theta.shape) for name, (theta, leaf) in groups.items()},
-        state,
-        cfg,
-    )
+    loss_v = float(out.value[0, 0])
+    grads = {name: leaf.grad.reshape(theta.shape) for name, (theta, leaf) in groups.items()}
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient in parameter group {name!r} (batch loss {loss_v})")
+    if not np.isfinite(loss_v):
+        raise ValueError(f"non-finite batch loss {loss_v}")
+    adamw_update({name: theta for name, (theta, _) in groups.items()}, grads, state, cfg)
     acc = float(np.mean(np.argmax(logits.value, axis=1) == batch.labels))
-    return float(out.value[0, 0]), acc
+    return loss_v, acc
 
 
 def _evaluate(prompt: eg.Node, bb: FrozenBackbone, data: Dataset, chunk: int = 256):
@@ -351,9 +358,8 @@ def _record(epoch, split, loss_v, acc, n_params, wall_ms):
 
 
 def write_metrics(records: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    """One JSON object per line, written atomically."""
+    write_atomic(path, "".join(json.dumps(rec) + "\n" for rec in records))
 
 
 def train_loop(
@@ -415,7 +421,10 @@ def train_loop(
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             batch = Dataset(ids=train_data.ids[sel], labels=train_data.labels[sel])
-            b_loss, b_acc = train_step(trainable, pool, bb, batch, state, cfg, mode, w_sa)
+            try:
+                b_loss, b_acc = train_step(trainable, pool, bb, batch, state, cfg, mode, w_sa)
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch}, step {state.step + 1}: {exc}") from exc
             ep_loss += b_loss
             ep_acc += b_acc
             n_batches += 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lamptune import backbone
 from lamptune import engine as eg
 from lamptune.backbone import (
     BackboneConfig,
@@ -204,3 +205,68 @@ def test_forward_rejects_bad_shapes():
         forward_batch(bb, RNG.standard_normal((2, 4)), np.zeros((1, 3, 4)), np.array([3]))
     with pytest.raises(eg.ShapeError):
         forward_batch(bb, RNG.standard_normal((2, 4)), np.zeros((2, 2, 4)), np.array([1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_rejects_non_finite_input(bad):
+    bb = build_backbone(tiny_config())
+    e_stack = np.zeros((2, 2, 4))
+    e_stack[1, 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_batch(bb, RNG.standard_normal((2, 4)), e_stack, np.array([2, 2]))
+
+
+def test_pe_cache_keeps_one_table_per_length():
+    bb = build_backbone(tiny_config(d=8, n_heads=2, m=3))
+    prompt = RNG.standard_normal((2, 8))
+    backbone._PE_CACHE.clear()
+    for b in (1, 3, 5):
+        forward_batch(bb, prompt, *embed(bb, RNG.integers(0, 10, size=(b, 3))))
+    assert [table.shape for table in backbone._PE_CACHE.values()] == [(5, 8)]
+
+
+def unshared_forward(bb, p_node, e_stack, lengths):
+    """The forward without prefix sharing, from the general ops: the
+    prompt tiled into every example before the position encodings, and
+    Q, K and V projected by three matmuls whose columns are placed side
+    by side with exact 0/1 selector products."""
+    cfg = bb.config
+    b, k, d = e_stack.shape[0], p_node.value.shape[0], cfg.d
+    t = k + cfg.m
+    w = {name: eg.constant(arr) for name, arr in bb.weights.items()}
+    seq = eg.concat_axis1(eg.tile_stack(p_node, b), eg.constant(e_stack))
+    x = eg.merge_lead(eg.add(seq, eg.constant(np.broadcast_to(sinusoidal_pe(t, d), (b, t, d)))))
+    select = [eg.constant(np.eye(d, 3 * d, j * d)) for j in range(3)]
+    for i in range(cfg.n_layers):
+        ln = eg.layer_norm(x, w[f"layer{i}.ln1_g"], w[f"layer{i}.ln1_b"])
+        q, kk, v = (eg.matmul(eg.matmul(ln, w[f"layer{i}.{name}"]), s)
+                    for name, s in zip(("wq", "wk", "wv"), select))
+        mixed = eg.attention(eg.add(eg.add(q, kk), v), cfg.n_heads, k + lengths)
+        x = eg.add(x, eg.matmul(mixed, w[f"layer{i}.wo"]))
+        ln2 = eg.layer_norm(x, w[f"layer{i}.ln2_g"], w[f"layer{i}.ln2_b"])
+        x = eg.add(x, eg.gelu_mlp(ln2, w[f"layer{i}.w1"], w[f"layer{i}.w2"]))
+    x = eg.layer_norm(x, w["lnf_g"], w["lnf_b"])
+    pool = np.zeros((b, 1, t))
+    for i, n in enumerate(lengths):
+        pool[i, 0, : k + n] = 1.0 / (k + n)
+    pooled = eg.batch_matmul(eg.constant(pool), eg.split_lead(x, b))
+    return eg.matmul(eg.merge_lead(pooled), w["head"])
+
+
+def test_shared_prefix_path_matches_unshared_chain():
+    bb = build_backbone(tiny_config(d=16, n_heads=4, n_layers=3, m=6, vocab_size=20, seed=4))
+    prompt = 0.5 * RNG.standard_normal((5, 16))
+    e_stack, _ = embed(bb, RNG.integers(0, 20, size=(7, 6)))
+    lengths = np.array([6, 0, 3, 5, 1, 6, 2])  # padded examples, one with no tokens
+    for i, n in enumerate(lengths):
+        e_stack[i, n:] = 0.0
+    labels = RNG.integers(0, 3, size=7)
+    results = []
+    for fwd in (forward_batch, unshared_forward):
+        p = eg.parameter(prompt)
+        logits = fwd(bb, p, e_stack, lengths)
+        eg.backward(eg.cross_entropy(logits, labels))
+        results.append((logits.value, p.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import lamptune
+from lamptune import artifacts, trainer
+from lamptune import engine as eg
 from lamptune.cli import main
 from lamptune.config import ConfigError, load_config
 from lamptune.prompt import load_checkpoint, synthetic_vocab
@@ -106,6 +108,59 @@ def test_cmd_train_writes_artifacts_and_reruns_identically(tmp_path):
     assert main(["--config", str(path), "train"]) == 0
     assert (out / "metrics.ndjson").read_bytes() == metrics
     assert (out / "prompt.lamp").read_bytes() == ckpt
+
+
+@pytest.mark.parametrize("failing", ["metrics.ndjson", "prompt.lamp", "cost.json"])
+def test_cmd_train_failed_write_keeps_earlier_artifacts(tmp_path, monkeypatch, capsys, failing):
+    path = tmp_path / "c.json"
+    write_config(path)
+    assert main(["--config", str(path), "train"]) == 0
+    out = tmp_path / "out"
+    names = ("metrics.ndjson", "prompt.lamp", "cost.json")
+    first = {name: (out / name).read_bytes() for name in names}
+    partial = []
+
+    class HalfWrite:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            partial.append(os.path.getsize(self.fh.name))
+            raise OSError(28, "No space left on device")
+
+    def flaky_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return HalfWrite(fh) if os.path.basename(file).startswith(failing) else fh
+
+    monkeypatch.setattr(artifacts, "open", flaky_open, raising=False)
+    # the rerun is deterministic: an artifact written before the failure
+    # gets the first run's bytes again
+    assert main(["--config", str(path), "train"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert partial and partial[0] > 0  # the failure came mid-write
+    assert {name: (out / name).read_bytes() for name in names} == first
+    assert sorted(os.listdir(out)) == sorted(names)  # no temporary file left
+
+
+def test_cmd_train_non_finite_gradient_exits_1(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c.json"
+    write_config(path)
+    monkeypatch.setattr(trainer, "loss", lambda logits, labels: eg.scale(
+        eg.cross_entropy(logits, labels), float("nan")))
+    assert main(["--config", str(path), "train"]) == 1
+    err = capsys.readouterr().err
+    assert "epoch 1, step 1: non-finite gradient in parameter group 'u'" in err
+    assert not (tmp_path / "out" / "metrics.ndjson").exists()
 
 
 def test_cmd_train_invalid_config_exits_2_naming_fields(tmp_path, capsys):

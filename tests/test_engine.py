@@ -190,7 +190,7 @@ def test_attention_matches_per_example_oracle_across_blocks():
     x = RNG.standard_normal((b * t, d))
     wq, wk, wv = (RNG.standard_normal((d, d)) for _ in range(3))
     with mock.patch.object(eg, "BLOCK_BYTES", 1):  # one example per block
-        got = eg.attention(*(eg.constant(x @ w) for w in (wq, wk, wv)), h, key_len).value
+        got = eg.attention(eg.constant(x @ np.hstack([wq, wk, wv])), h, key_len).value
     for i in range(b):
         rows = slice(i * t, (i + 1) * t)
         mask = np.arange(t) >= key_len[i]
@@ -199,22 +199,46 @@ def test_attention_matches_per_example_oracle_across_blocks():
 
 
 def test_attention_grads_every_operand():
-    q, k, v = (RNG.standard_normal((15, 6)) for _ in range(3))
+    qkv = RNG.standard_normal((15, 18))  # B=3, T=5, d=6: q, k and v in one operand
     with mock.patch.object(eg, "BLOCK_BYTES", 1):
-        assert_grad(lambda a, b, c: eg.attention(a, b, c, 3, [5, 2, 4]), [q, k, v], tol=1e-7)
+        assert_grad(lambda a: eg.attention(a, 3, [5, 2, 4]), [qkv], tol=1e-7)
 
 
 def test_attention_rejects_bad_shapes_and_key_lengths():
-    a = eg.constant(RNG.standard_normal((6, 4)))
+    a = eg.constant(RNG.standard_normal((6, 12)))  # B=2, T=3, d=4
     with pytest.raises(eg.ShapeError):
-        eg.attention(a, a, eg.constant(RNG.standard_normal((6, 2))), 2, [3, 3])
+        eg.attention(eg.constant(RNG.standard_normal((6, 4))), 2, [3, 3])  # 4 columns are not 3d
     with pytest.raises(eg.ShapeError):
-        eg.attention(a, a, a, 3, [3, 3])  # d=4 not divisible by 3 heads
+        eg.attention(eg.constant(RNG.standard_normal((2, 3, 12))), 2, [3, 3])
     with pytest.raises(eg.ShapeError):
-        eg.attention(a, a, a, 2, [2, 2, 2, 2])  # 6 rows not divisible by B=4
+        eg.attention(a, 3, [3, 3])  # d=4 not divisible by 3 heads
+    with pytest.raises(eg.ShapeError):
+        eg.attention(a, 2, [2, 2, 2, 2])  # 6 rows not divisible by B=4
     for bad in ([0, 3], [3, 4]):
         with pytest.raises(ValueError):
-            eg.attention(a, a, a, 2, bad)
+            eg.attention(a, 2, bad)
+
+
+def test_shared_prefix_layout_and_grads():
+    p = RNG.standard_normal((2, 3))
+    x = RNG.standard_normal((8, 3))  # B=4 examples of 2 rows
+    out = eg.shared_prefix(eg.constant(p), eg.constant(x), 4).value
+    want = np.concatenate([np.concatenate([p, x[2 * i : 2 * i + 2]]) for i in range(4)])
+    assert np.array_equal(out, want)
+    assert_grad(lambda a, c: eg.shared_prefix(a, c, 4), [p, x])
+    assert_grad(lambda a, c: eg.shared_prefix(a, c, 1), [p, x])
+
+
+def test_shared_prefix_rejects_bad_shapes():
+    p, x = eg.constant(RNG.standard_normal((2, 3))), eg.constant(RNG.standard_normal((6, 3)))
+    with pytest.raises(eg.ShapeError):
+        eg.shared_prefix(p, eg.constant(RNG.standard_normal((6, 4))), 2)  # widths differ
+    with pytest.raises(eg.ShapeError):
+        eg.shared_prefix(p, eg.constant(RNG.standard_normal((2, 3, 3))), 2)  # a stack
+    with pytest.raises(eg.ShapeError):
+        eg.shared_prefix(p, x, 4)  # 6 rows not divisible by 4 examples
+    with pytest.raises(eg.ShapeError):
+        eg.shared_prefix(p, x, 0)
 
 
 def test_gelu_mlp_matches_manual_and_grads():
@@ -233,8 +257,7 @@ def fused_values_and_grads(block_bytes, x, ws, key_len, h):
     """Outputs and input gradients of attention feeding gelu_mlp."""
     with mock.patch.object(eg, "BLOCK_BYTES", block_bytes):
         xn = eg.parameter(x)
-        qkv = [eg.matmul(xn, eg.constant(w)) for w in ws[:3]]
-        mixed = eg.attention(*qkv, h, key_len)
+        mixed = eg.attention(eg.matmul(xn, eg.constant(np.hstack(ws[:3]))), h, key_len)
         out = eg.gelu_mlp(mixed, eg.constant(ws[3]), eg.constant(ws[4]))
         eg.backward(weighted_sum(out))
     return out.value, xn.grad

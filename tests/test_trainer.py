@@ -5,6 +5,7 @@ import pytest
 
 import lamptune.engine as eg
 import lamptune.prompt as pr
+from lamptune import trainer
 from lamptune.backbone import BackboneConfig, build_backbone, digest, embed, forward_batch
 from lamptune.trainer import (
     Dataset,
@@ -221,6 +222,32 @@ def test_train_step_updates_all_groups_and_keeps_digest():
     assert not np.array_equal(dp.q, before[1])
     assert not np.array_equal(dp.v, before[2])
     assert not np.array_equal(w_sa.w_sa, before[3])
+
+
+@pytest.mark.parametrize("method, group", [("lamp", "u"), ("vanilla-pt", "prompt")])
+def test_non_finite_gradient_stops_before_the_update(method, group, monkeypatch):
+    bb = tiny_backbone()
+    task = SyntheticTask(rule="token-presence", vocab_size=12, seq_len=6, seed=5)
+    cfg = TrainConfig(batch_size=4, epochs=2, seed=1)
+    start = []
+
+    def init_prompt_copy(*args, **kwargs):
+        trainable, w_sa, n = init_prompt(*args, **kwargs)
+        arrays = [trainable] if method == "vanilla-pt" else [trainable.u, trainable.q, trainable.v]
+        start.append((arrays, [a.copy() for a in arrays]))
+        return trainable, w_sa, n
+
+    def nan_loss(logits, labels):
+        return eg.scale(loss(logits, labels), float("nan"))
+
+    monkeypatch.setattr(trainer, "init_prompt", init_prompt_copy)
+    monkeypatch.setattr(trainer, "loss", nan_loss)
+    with pytest.raises(ValueError, match=rf"epoch 1, step 1: non-finite gradient.*'{group}'"):
+        train_loop(task, method, cfg, pr.PoolConfig(mode="none", p=1), bb,
+                   l=8, r=3, top_k=12, n_train=8, n_heldout=4)
+    (arrays, before), = start
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
 
 
 def test_single_step_matches_composed_oracle():
